@@ -7,6 +7,7 @@ so files are self-describing and round-trip bit-exactly.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -47,21 +48,41 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: {exc}") from exc
     if blob[:8] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint")
+    if len(blob) < 16:
+        raise CheckpointError(f"{path}: file ends inside the header length")
     (header_len,) = struct.unpack("<Q", blob[8:16])
+    if 16 + header_len > len(blob):
+        raise CheckpointError(
+            f"{path}: header length {header_len} runs past end of file")
     try:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("tensors"),
+                                                      list):
+        raise CheckpointError(f"{path}: header has no tensor list")
     payload = blob[16 + header_len:]
     tensors = {}
     for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + count * 8
+        try:
+            name, shape, start = entry["name"], entry["shape"], entry["offset"]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(
+                f"{path}: malformed tensor entry {entry!r} ({exc!r})") from exc
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(_is_count(s) for s in shape) and _is_count(start)):
+            raise CheckpointError(
+                f"{path}: tensor entry {entry!r} needs a string name, a list "
+                "of non-negative integer dims and a non-negative integer "
+                "offset")
+        end = start + math.prod(shape) * 8
         if end > len(payload):
             raise CheckpointError(
-                f"{path}: tensor {entry['name']!r} runs past end of file")
-        tensors[entry["name"]] = np.frombuffer(
+                f"{path}: tensor {name!r} runs past end of file")
+        tensors[name] = np.frombuffer(
             payload[start:end], dtype="<f8").reshape(shape).copy()
     return header.get("meta", {}), tensors
+
+
+def _is_count(value):
+    return type(value) is int and value >= 0

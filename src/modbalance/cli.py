@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import dataset
-from .errors import ConfigError, DivergenceError, ModBalanceError
-from .model import MODALITIES, Model, ModelConfig
+from .dataset import MODALITIES
+from .errors import ConfigError, DivergenceError, ModBalanceError, check_keys
+from .model import Model, ModelConfig
 from .training import OptimizerConfig, TRACE_HEADER, evaluate, train
 
 HOLDOUT_FRACTION = 0.2
@@ -49,47 +50,49 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload):
-        known_sections = {"data", "model", "optim", "ablation", "output",
-                          "modalities"}
-        unknown = set(payload) - known_sections
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        check_keys(payload, ("data", "model", "optim", "ablation", "output",
+                             "modalities"), "config sections")
         config = cls()
         data_section = payload.get("data", {})
+        check_keys(data_section, ("path", "synth"), "data options")
         config.data_path = str(data_section.get("path", ""))
         if "synth" in data_section:
             config.synth = dataset.SynthSpec.from_dict(data_section["synth"])
         config.model = ModelConfig.from_dict(payload.get("model", {}))
         config.optim = OptimizerConfig.from_dict(payload.get("optim", {}))
         ablation = payload.get("ablation", {})
-        unknown = set(ablation) - {"disable_afw", "disable_amw",
-                                   "disable_modulation"}
-        if unknown:
-            raise ConfigError(f"unknown ablation flags: {sorted(unknown)}")
+        check_keys(ablation, ("disable_afw", "disable_amw",
+                              "disable_modulation"), "ablation flags")
         config.model.disable_afw = bool(ablation.get("disable_afw", False))
         config.model.disable_amw = bool(ablation.get("disable_amw", False))
         config.optim.disable_modulation = bool(
             ablation.get("disable_modulation", False))
         if "modalities" in payload:
             config.modalities = parse_modalities(payload["modalities"])
-        config.output_dir = str(payload.get("output", {}).get("dir", "out"))
+        output = payload.get("output", {})
+        check_keys(output, ("dir",), "output options")
+        config.output_dir = str(output.get("dir", "out"))
         return config
 
     @classmethod
     def from_file(cls, path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: malformed JSON ({exc})") from exc
-        except OSError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path))
 
     def load_dataset(self):
         if self.data_path:
             return dataset.load(self.data_path)
         return dataset.generate(self.synth)
+
+
+def read_json(path):
+    """Parse a JSON config file; raises ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: malformed JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def write_traces(path, traces):
@@ -102,14 +105,7 @@ def write_traces(path, traces):
 
 def cmd_gen_data(spec_path, out_path):
     """Generate a synthetic dataset file and print a short summary."""
-    try:
-        with open(spec_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{spec_path}: malformed JSON ({exc})") from exc
-    except OSError as exc:
-        raise ConfigError(f"{spec_path}: {exc}") from exc
-    spec = dataset.SynthSpec.from_dict(payload)
+    spec = dataset.SynthSpec.from_dict(read_json(spec_path))
     data = dataset.generate(spec)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     dataset.save(data, out_path)
@@ -142,7 +138,7 @@ def cmd_train(config):
     holdout_data = dataset.Dataset(num_classes=data.num_classes,
                                    dims=data.dims, conversations=holdout)
     dataset.save(holdout_data, out_dir / "holdout.json")
-    final = evaluate(model, holdout, active=config.modalities)
+    final = result.final_report
     report = {
         "final": final.to_dict(),
         "final_epoch": config.optim.epochs,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, check_keys
 
 MODALITIES = ("t", "a", "v")
 
@@ -104,22 +104,29 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, payload):
+        check_keys(payload, cls.__dataclass_fields__, "synthetic spec options")
         spec = cls()
-        if "num_classes" in payload:
-            spec.num_classes = int(payload["num_classes"])
-        if "dims" in payload:
-            spec.dims = {m: int(payload["dims"][m]) for m in payload["dims"]}
-        if "gamma" in payload:
-            spec.gamma = {m: float(payload["gamma"][m]) for m in payload["gamma"]}
-        if "noise_sigma" in payload:
-            spec.noise_sigma = float(payload["noise_sigma"])
-        if "conversations" in payload:
-            spec.conversations = int(payload["conversations"])
-        if "utterances" in payload:
-            lo, hi = payload["utterances"]
-            spec.utterances = (int(lo), int(hi))
-        if "seed" in payload:
-            spec.seed = int(payload["seed"])
+        try:
+            if "num_classes" in payload:
+                spec.num_classes = int(payload["num_classes"])
+            if "dims" in payload:
+                check_keys(payload["dims"], MODALITIES, "dims modalities")
+                spec.dims = {m: int(payload["dims"][m]) for m in payload["dims"]}
+            if "gamma" in payload:
+                check_keys(payload["gamma"], MODALITIES, "gamma modalities")
+                spec.gamma = {m: float(payload["gamma"][m])
+                              for m in payload["gamma"]}
+            if "noise_sigma" in payload:
+                spec.noise_sigma = float(payload["noise_sigma"])
+            if "conversations" in payload:
+                spec.conversations = int(payload["conversations"])
+            if "utterances" in payload:
+                lo, hi = payload["utterances"]
+                spec.utterances = (int(lo), int(hi))
+            if "seed" in payload:
+                spec.seed = int(payload["seed"])
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"synthetic spec has a bad value: {exc}") from exc
         return spec.validate()
 
 
@@ -201,18 +208,32 @@ def from_payload(payload):
         cid = str(entry.get("id", f"conv{len(conversations):04d}"))
         if "labels" not in entry:
             raise DatasetError(f"conversation {cid}: missing labels")
-        labels = np.asarray(entry["labels"], dtype=np.int64)
+        labels = entry["labels"]
+        if (not isinstance(labels, list)
+                or not all(type(y) is int for y in labels)):
+            raise DatasetError(
+                f"conversation {cid}: labels must be a list of integers")
+        labels = np.asarray(labels, dtype=np.int64)
         features = {}
         for m in MODALITIES:
             if m not in entry:
                 raise DatasetError(f"conversation {cid}: missing modality {m!r}")
             rows = entry[m]
-            widths = {len(r) for r in rows}
-            if len(rows) != len(labels) or len(widths) > 1:
+            try:
+                widths = {len(r) for r in rows}
+                if len(rows) != len(labels) or len(widths) > 1:
+                    raise DatasetError(
+                        f"conversation {cid}: modality {m!r} utterance rows "
+                        f"are ragged or do not match {len(labels)} labels")
+                arr = np.asarray(rows, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
                 raise DatasetError(
-                    f"conversation {cid}: modality {m!r} utterance rows are "
-                    f"ragged or do not match {len(labels)} labels")
-            arr = np.asarray(rows, dtype=np.float64)
+                    f"conversation {cid}: modality {m!r} rows are not lists "
+                    f"of numbers ({exc})") from exc
+            if not np.isfinite(arr).all():
+                raise DatasetError(
+                    f"conversation {cid}: modality {m!r} has non-finite "
+                    "features")
             if arr.ndim == 1:  # zero utterances; keep a (0, d) shape
                 arr = arr.reshape(0, dims[m])
             features[m] = arr

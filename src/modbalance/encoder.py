@@ -22,7 +22,6 @@ class EncoderConfig:
     heads: int = 4
     ffn: int = 64
     dropout: float = 0.0
-    positional: bool = False
 
     def validate(self):
         if self.hidden % self.heads != 0:
@@ -85,26 +84,6 @@ class EncoderParams:
                 yield f"{prefix}.block{i}.{key}", value
 
 
-def layer_norm(x, gamma, beta, eps=1e-6):
-    """Row-wise standardization followed by an affine rescale.
-
-    eps bounds the 1/sqrt(var) gradient spike when a row degenerates to a
-    constant, while staying small enough that ordinary rows standardize to
-    unit variance well inside 1e-6.
-    """
-    return layer_norm_rows(x, gamma, beta, eps=eps)
-
-
-def sinusoidal_encoding(length, width):
-    """Classic fixed sin/cos position table, shape (length, width)."""
-    position = np.arange(length)[:, None]
-    div = np.exp(np.arange(0, width, 2) * (-np.log(10000.0) / width))
-    table = np.zeros((length, width))
-    table[:, 0::2] = np.sin(position * div)
-    table[:, 1::2] = np.cos(position * div[: width // 2])
-    return table
-
-
 def _dropout(x, rate, rng):
     if rng is None or rate <= 0.0:
         return x
@@ -112,7 +91,7 @@ def _dropout(x, rate, rng):
     return x * Tensor(mask)
 
 
-def _self_attention(x, block, heads, collect):
+def _self_attention(x, block, heads):
     n, h = x.shape
     head_dim = h // heads
     # split columns into heads: (n, h) -> (heads, n, head_dim)
@@ -121,18 +100,14 @@ def _self_attention(x, block, heads, collect):
     v = (x @ block["wv"]).reshape(n, heads, head_dim).transpose((1, 0, 2))
     scores = bmm(q, k.transpose((0, 2, 1))) * (1.0 / np.sqrt(head_dim))
     weights = softmax(scores, axis=2)
-    if collect is not None:
-        collect.append(weights)
     mixed = bmm(weights, v).transpose((1, 0, 2)).reshape(n, h)
     return mixed @ block["wo"] + block["bo"]
 
 
-def encode(x, params, rng=None, collect_attention=None):
+def encode(x, params, rng=None):
     """Map raw utterance features (N x d_m) to hidden states (N x h).
 
     Deterministic unless dropout is enabled and an ``rng`` is supplied.
-    Pass a list as ``collect_attention`` to capture per-head attention
-    weight tensors for inspection.
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)
@@ -141,14 +116,11 @@ def encode(x, params, rng=None, collect_attention=None):
             f"encoder expects (N, {params.input_dim}) input, got {x.shape}")
     config = params.config
     z = x @ params.w_in + params.b_in
-    if config.positional:
-        z = z + Tensor(sinusoidal_encoding(x.shape[0], config.hidden))
     for block in params.blocks:
-        attn = _dropout(
-            _self_attention(z, block, config.heads, collect_attention),
-            config.dropout, rng)
-        z = layer_norm(z + attn, block["ln1_g"], block["ln1_b"])
+        attn = _dropout(_self_attention(z, block, config.heads),
+                        config.dropout, rng)
+        z = layer_norm_rows(z + attn, block["ln1_g"], block["ln1_b"])
         ff = (z @ block["w1"] + block["b1"]).relu() @ block["w2"] + block["b2"]
-        z = layer_norm(z + _dropout(ff, config.dropout, rng),
-                       block["ln2_g"], block["ln2_b"])
+        z = layer_norm_rows(z + _dropout(ff, config.dropout, rng),
+                            block["ln2_g"], block["ln2_b"])
     return z

@@ -23,3 +23,12 @@ class DivergenceError(ModBalanceError):
 
 class CheckpointError(ModBalanceError):
     """A checkpoint file is malformed or does not match the model."""
+
+
+def check_keys(payload, known, what):
+    """Raise ConfigError unless ``payload`` is a dict with only ``known`` keys."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {payload!r}")
+    unknown = set(payload) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import MODALITIES
 from .encoder import uniform_init, zeros_param
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, contract_last, khatri_rao_mode1, softmax
-
-MODALITIES = ("t", "a", "v")
+from .tensor import contract_last, khatri_rao_mode1, softmax
 
 
 class FeatureWeightParams:

@@ -36,8 +36,7 @@ def confusion_matrix(preds, labels, num_classes):
     """Counts[true, predicted]; row sums are the class supports."""
     preds, labels = _check_inputs(preds, labels)
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for y, p in zip(labels, preds):
-        counts[y, p] += 1
+    np.add.at(counts, (labels, preds), 1)
     return counts
 
 
@@ -55,16 +54,6 @@ def per_class_stats(confusion):
         stats.append({"class": c, "precision": precision, "recall": recall,
                       "f1": f1, "support": support})
     return stats
-
-
-def weighted_f1(preds, labels, num_classes=None):
-    """Support-weighted mean of per-class F1 scores."""
-    preds, labels = _check_inputs(preds, labels)
-    if num_classes is None:
-        num_classes = int(max(preds.max(), labels.max())) + 1
-    stats = per_class_stats(confusion_matrix(preds, labels, num_classes))
-    total = len(labels)
-    return float(sum(s["support"] / total * s["f1"] for s in stats))
 
 
 def logit_trace(modality_logits, labels):
@@ -88,6 +77,7 @@ class EvalReport:
 
     @classmethod
     def from_predictions(cls, preds, labels, num_classes):
+        """Scores, with weighted F1 the support-weighted mean of per-class F1."""
         confusion = confusion_matrix(preds, labels, num_classes)
         stats = per_class_stats(confusion)
         total = len(np.asarray(labels))

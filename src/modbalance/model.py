@@ -8,14 +8,15 @@ excluded modalities simply drop out of the contraction chain, the fusion
 sum, and the modality count.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import feature_weighting as afw
 from .checkpoint import load_checkpoint, save_checkpoint
+from .dataset import MODALITIES
 from .encoder import EncoderConfig, EncoderParams, encode
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, check_keys
 from .modality_weighting import (
     ClassifierParams,
     FusionHead,
@@ -25,7 +26,9 @@ from .modality_weighting import (
 )
 from .tensor import Tensor
 
-MODALITIES = ("t", "a", "v")
+# Options removed from ModelConfig, at the only values a checkpoint may hold.
+# Checkpoints still record them, so the file format does not change.
+RETIRED_OPTIONS = {"positional": False, "feature_stop_grad": ""}
 
 
 @dataclass
@@ -38,11 +41,9 @@ class ModelConfig:
     heads: int = 4
     ffn: int = 64
     dropout: float = 0.0
-    positional: bool = False
     classifier_hidden: int = 0  # 0 means "twice the class count"
     disable_afw: bool = False
     disable_amw: bool = False
-    feature_stop_grad: str = ""  # "", "attention", or "mapper"
 
     def validate(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -51,17 +52,13 @@ class ModelConfig:
             raise ConfigError("rank must be >= 1")
         if self.d_k < 0.0:
             raise ConfigError("d_k must be positive (or 0 for the default)")
-        if self.feature_stop_grad not in ("", "attention", "mapper"):
-            raise ConfigError(
-                f"feature_stop_grad must be '', 'attention', or 'mapper', "
-                f"got {self.feature_stop_grad!r}")
         self.encoder_config().validate()
         return self
 
     def encoder_config(self):
         return EncoderConfig(hidden=self.hidden, layers=self.layers,
                              heads=self.heads, ffn=self.ffn,
-                             dropout=self.dropout, positional=self.positional)
+                             dropout=self.dropout)
 
     @property
     def effective_d_k(self):
@@ -72,11 +69,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, payload):
-        known = {k: v for k, v in payload.items() if k in cls.__dataclass_fields__}
-        unknown = set(payload) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown model options: {sorted(unknown)}")
-        return cls(**known).validate()
+        check_keys(payload, cls.__dataclass_fields__, "model options")
+        return cls(**payload).validate()
 
 
 @dataclass
@@ -181,7 +175,7 @@ class Model:
 
     def save(self, path):
         meta = {
-            "model": self.config.to_dict(),
+            "model": {**self.config.to_dict(), **RETIRED_OPTIONS},
             "num_classes": self.num_classes,
             "dims": self.dims,
         }
@@ -192,10 +186,15 @@ class Model:
     def load(cls, path):
         meta, arrays = load_checkpoint(path)
         try:
-            config = ModelConfig.from_dict(meta["model"])
+            options = dict(meta["model"])
+            for name, inert in RETIRED_OPTIONS.items():
+                if options.pop(name, inert) != inert:
+                    raise CheckpointError(
+                        f"{path}: sets the removed model option {name!r}")
+            config = ModelConfig.from_dict(options)
             model = cls(config, int(meta["num_classes"]), meta["dims"], seed=0)
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"{path}: missing metadata ({exc})") from exc
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise CheckpointError(f"{path}: bad metadata ({exc})") from exc
         params = model.named_parameters()
         missing = set(params) - set(arrays)
         extra = set(arrays) - set(params)

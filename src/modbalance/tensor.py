@@ -3,11 +3,11 @@
 Everything is numpy-backed and 64-bit. Operations build a dynamic graph;
 calling ``backward()`` on a scalar propagates gradients to every reachable
 tensor with ``requires_grad=True``, accumulating additively when a tensor
-is consumed more than once. Flattening order is row-major throughout, so
-serialized fixtures are portable.
+is consumed more than once. Each op hands ``Tensor._op`` a backward
+function of its output gradient; the result holds it only when the result
+is a graph node, and no backward function refers to its own output, so
+results never form reference cycles.
 """
-
-import json
 
 import numpy as np
 
@@ -75,9 +75,11 @@ class Tensor:
 
     @staticmethod
     def _op(data, parents, backward):
-        """Result node; graph edges are kept only if a parent needs gradients."""
+        """Result of an op; ``backward(g)`` sends the result's gradient ``g``
+        to ``parents``. The graph edges and ``backward`` are kept only if a
+        parent needs gradients."""
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            return Tensor(data, requires_grad=True, _parents=tuple(parents),
+            return Tensor(data, requires_grad=True, _parents=parents,
                           _backward=backward)
         return Tensor(data)
 
@@ -104,10 +106,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self):
-        """Same values, detached from the graph (no gradient flow)."""
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -139,89 +137,56 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            # nodes kept out of the graph (no parent needs gradients) never
-            # receive a gradient; their stale closures must not fire
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn()
+            if node._backward_fn is not None:
+                node._backward_fn(node.grad)
 
     # --- arithmetic (broadcasting, numpy rules) ---
 
     def __add__(self, other):
         other = _as_tensor(other)
-        out = Tensor._op(self.data + other.data, (self, other), None)
 
-        def backward():
-            _accumulate(self, _unbroadcast(out.grad, self.data.shape))
-            _accumulate(other, _unbroadcast(out.grad, other.data.shape))
+        def backward(g):
+            _accumulate(self, _unbroadcast(g, self.data.shape))
+            _accumulate(other, _unbroadcast(g, other.data.shape))
 
-        out._backward_fn = backward
-        return out
-
-    def __radd__(self, other):
-        return self.__add__(other)
+        return Tensor._op(self.data + other.data, (self, other), backward)
 
     def __neg__(self):
-        out = Tensor._op(-self.data, (self,), None)
+        def backward(g):
+            _accumulate(self, -g)
 
-        def backward():
-            _accumulate(self, -out.grad)
-
-        out._backward_fn = backward
-        return out
+        return Tensor._op(-self.data, (self,), backward)
 
     def __sub__(self, other):
         other = _as_tensor(other)
-        out = Tensor._op(self.data - other.data, (self, other), None)
 
-        def backward():
-            _accumulate(self, _unbroadcast(out.grad, self.data.shape))
-            _accumulate(other, _unbroadcast(-out.grad, other.data.shape))
+        def backward(g):
+            _accumulate(self, _unbroadcast(g, self.data.shape))
+            _accumulate(other, _unbroadcast(-g, other.data.shape))
 
-        out._backward_fn = backward
-        return out
-
-    def __rsub__(self, other):
-        return _as_tensor(other).__sub__(self)
+        return Tensor._op(self.data - other.data, (self, other), backward)
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out = Tensor._op(self.data * other.data, (self, other), None)
 
-        def backward():
-            _accumulate(self, _unbroadcast(out.grad * other.data, self.data.shape))
-            _accumulate(other, _unbroadcast(out.grad * self.data, other.data.shape))
+        def backward(g):
+            _accumulate(self, _unbroadcast(g * other.data, self.data.shape))
+            _accumulate(other, _unbroadcast(g * self.data, other.data.shape))
 
-        out._backward_fn = backward
-        return out
+        return Tensor._op(self.data * other.data, (self, other), backward)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
         other = _as_tensor(other)
-        out = Tensor._op(self.data / other.data, (self, other), None)
 
-        def backward():
-            _accumulate(self, _unbroadcast(out.grad / other.data, self.data.shape))
+        def backward(g):
+            _accumulate(self, _unbroadcast(g / other.data, self.data.shape))
             _accumulate(other, _unbroadcast(
-                -out.grad * self.data / (other.data * other.data),
-                other.data.shape))
+                -g * self.data / (other.data * other.data), other.data.shape))
 
-        out._backward_fn = backward
-        return out
-
-    def __rtruediv__(self, other):
-        return _as_tensor(other).__truediv__(self)
-
-    def __pow__(self, exponent):
-        exponent = float(exponent)
-        out = Tensor._op(self.data ** exponent, (self,), None)
-
-        def backward():
-            _accumulate(self, out.grad * exponent * self.data ** (exponent - 1.0))
-
-        out._backward_fn = backward
-        return out
+        return Tensor._op(self.data / other.data, (self, other), backward)
 
     def __matmul__(self, other):
         other = _as_tensor(other)
@@ -231,86 +196,60 @@ class Tensor:
         if self.data.shape[1] != other.data.shape[0]:
             raise ShapeError(
                 f"matmul inner dims differ: {self.shape} @ {other.shape}")
-        out = Tensor._op(self.data @ other.data, (self, other), None)
 
-        def backward():
-            _accumulate(self, out.grad @ other.data.T)
-            _accumulate(other, self.data.T @ out.grad)
+        def backward(g):
+            _accumulate(self, g @ other.data.T)
+            _accumulate(other, self.data.T @ g)
 
-        out._backward_fn = backward
-        return out
+        return Tensor._op(self.data @ other.data, (self, other), backward)
 
     # --- elementwise functions ---
 
     def relu(self):
-        out = Tensor._op(np.maximum(self.data, 0.0), (self,), None)
+        def backward(g):
+            _accumulate(self, g * (self.data > 0.0))
 
-        def backward():
-            _accumulate(self, out.grad * (self.data > 0.0))
-
-        out._backward_fn = backward
-        return out
-
-    def exp(self):
-        out = Tensor._op(np.exp(self.data), (self,), None)
-
-        def backward():
-            _accumulate(self, out.grad * out.data)
-
-        out._backward_fn = backward
-        return out
+        return Tensor._op(np.maximum(self.data, 0.0), (self,), backward)
 
     def log(self):
-        out = Tensor._op(np.log(self.data), (self,), None)
+        def backward(g):
+            _accumulate(self, g / self.data)
 
-        def backward():
-            _accumulate(self, out.grad / self.data)
-
-        out._backward_fn = backward
-        return out
+        return Tensor._op(np.log(self.data), (self,), backward)
 
     def sqrt(self):
-        out = Tensor._op(np.sqrt(self.data), (self,), None)
+        y = np.sqrt(self.data)
 
-        def backward():
-            _accumulate(self, out.grad * 0.5 / out.data)
+        def backward(g):
+            _accumulate(self, g * 0.5 / y)
 
-        out._backward_fn = backward
-        return out
+        return Tensor._op(y, (self,), backward)
 
     def abs(self):
-        out = Tensor._op(np.abs(self.data), (self,), None)
+        def backward(g):
+            _accumulate(self, g * np.sign(self.data))
 
-        def backward():
-            _accumulate(self, out.grad * np.sign(self.data))
-
-        out._backward_fn = backward
-        return out
+        return Tensor._op(np.abs(self.data), (self,), backward)
 
     def clamp_min(self, floor):
         """Elementwise max(self, floor); gradient passes only above the floor."""
         floor = float(floor)
-        out = Tensor._op(np.maximum(self.data, floor), (self,), None)
 
-        def backward():
-            _accumulate(self, out.grad * (self.data > floor))
+        def backward(g):
+            _accumulate(self, g * (self.data > floor))
 
-        out._backward_fn = backward
-        return out
+        return Tensor._op(np.maximum(self.data, floor), (self,), backward)
 
     # --- reductions ---
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor._op(self.data.sum(axis=axis, keepdims=keepdims), (self,), None)
-
-        def backward():
-            g = out.grad
+        def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             _accumulate(self, np.broadcast_to(g, self.data.shape))
 
-        out._backward_fn = backward
-        return out
+        return Tensor._op(self.data.sum(axis=axis, keepdims=keepdims),
+                          (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -328,73 +267,37 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         original = self.data.shape
-        out = Tensor._op(self.data.reshape(shape), (self,), None)
 
-        def backward():
-            _accumulate(self, out.grad.reshape(original))
+        def backward(g):
+            _accumulate(self, g.reshape(original))
 
-        out._backward_fn = backward
-        return out
+        return Tensor._op(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, axes=None):
-        out = Tensor._op(np.transpose(self.data, axes), (self,), None)
-        if axes is None:
-            inverse = None
-        else:
-            inverse = tuple(np.argsort(axes))
+        inverse = None if axes is None else tuple(np.argsort(axes))
 
-        def backward():
-            _accumulate(self, np.transpose(out.grad, inverse))
+        def backward(g):
+            _accumulate(self, np.transpose(g, inverse))
 
-        out._backward_fn = backward
-        return out
-
-    def __getitem__(self, key):
-        out = Tensor._op(self.data[key], (self,), None)
-
-        def backward():
-            g = np.zeros_like(self.data)
-            g[key] += out.grad
-            _accumulate(self, g)
-
-        out._backward_fn = backward
-        return out
+        return Tensor._op(np.transpose(self.data, axes), (self,), backward)
 
 
-def concat(tensors, axis=0):
-    """Concatenate along ``axis`` with gradients split back to the inputs."""
-    tensors = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = Tensor._op(data, tuple(tensors), None)
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def backward():
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            index = [slice(None)] * out.grad.ndim
-            index[axis] = slice(offset, offset + size)
-            _accumulate(t, out.grad[tuple(index)])
-            offset += size
-
-    out._backward_fn = backward
-    return out
+def softmax_array(x, axis=-1):
+    """Numerically stable softmax of a numpy array along ``axis``."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def softmax(x, axis=-1):
     """Numerically stable softmax along ``axis``; slices sum to 1."""
     x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._op(y, (x,), None)
+    y = softmax_array(x.data, axis=axis)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
         _accumulate(x, y * (g - inner))
 
-    out._backward_fn = backward
-    return out
+    return Tensor._op(y, (x,), backward)
 
 
 def khatri_rao_mode1(a, b):
@@ -413,16 +316,14 @@ def khatri_rao_mode1(a, b):
             f"khatri_rao_mode1 row counts differ: {a.shape} vs {b.shape}")
     n, p = a.data.shape
     q = b.data.shape[1]
-    data = (a.data[:, :, None] * b.data[:, None, :]).reshape(n, p * q)
-    out = Tensor._op(data, (a, b), None)
 
-    def backward():
-        g = out.grad.reshape(n, p, q)
+    def backward(g):
+        g = g.reshape(n, p, q)
         _accumulate(a, (g * b.data[:, None, :]).sum(axis=2))
         _accumulate(b, (g * a.data[:, :, None]).sum(axis=1))
 
-    out._backward_fn = backward
-    return out
+    data = (a.data[:, :, None] * b.data[:, None, :]).reshape(n, p * q)
+    return Tensor._op(data, (a, b), backward)
 
 
 def contract_last(x, a):
@@ -438,45 +339,12 @@ def contract_last(x, a):
     if x.data.shape[-1] != a.data.shape[0]:
         raise ShapeError(
             f"contract_last dims differ: {x.shape} vs {a.shape}")
-    out = Tensor._op(np.matmul(x.data, a.data), (x, a), None)
 
-    def backward():
-        _accumulate(x, np.matmul(out.grad, a.data.T))
-        _accumulate(a, np.einsum("dij,dik->jk", x.data, out.grad))
+    def backward(g):
+        _accumulate(x, np.matmul(g, a.data.T))
+        _accumulate(a, np.einsum("dij,dik->jk", x.data, g))
 
-    out._backward_fn = backward
-    return out
-
-
-def tr_reconstruct(g1, g2, g3):
-    """Closed-ring contraction of three order-3 cores.
-
-    Cores shaped (d1, r1, r2), (d2, r2, r3), (d3, r3, r1) produce the full
-    d1 x d2 x d3 tensor with T[i,j,k] = trace(G1[i] @ G2[j] @ G3[k]).
-    """
-    g1 = _as_tensor(g1)
-    g2 = _as_tensor(g2)
-    g3 = _as_tensor(g3)
-    for g in (g1, g2, g3):
-        if g.data.ndim != 3:
-            raise ShapeError(f"tr_reconstruct expects order-3 cores, got {g.shape}")
-    if (g1.data.shape[2] != g2.data.shape[1]
-            or g2.data.shape[2] != g3.data.shape[1]
-            or g3.data.shape[2] != g1.data.shape[1]):
-        raise ShapeError(
-            "tr_reconstruct ring ranks are incompatible: "
-            f"{g1.shape}, {g2.shape}, {g3.shape}")
-    data = np.einsum("iab,jbc,kca->ijk", g1.data, g2.data, g3.data)
-    out = Tensor._op(data, (g1, g2, g3), None)
-
-    def backward():
-        g = out.grad
-        _accumulate(g1, np.einsum("ijk,jbc,kca->iab", g, g2.data, g3.data))
-        _accumulate(g2, np.einsum("ijk,kca,iab->jbc", g, g3.data, g1.data))
-        _accumulate(g3, np.einsum("ijk,iab,jbc->kca", g, g1.data, g2.data))
-
-    out._backward_fn = backward
-    return out
+    return Tensor._op(np.matmul(x.data, a.data), (x, a), backward)
 
 
 def l2_norm(x, axis=None, keepdims=False):
@@ -488,8 +356,9 @@ def l2_norm(x, axis=None, keepdims=False):
 def layer_norm_rows(x, gamma, beta, eps=1e-6):
     """Standardize each row to zero mean / unit variance, then rescale.
 
-    Fused forward and backward; eps keeps the 1/std factor bounded when a
-    row degenerates to a constant.
+    Fused forward and backward. eps bounds the 1/std factor when a row
+    degenerates to a constant, while staying small enough that ordinary
+    rows standardize to unit variance well inside 1e-6.
     """
     x = _as_tensor(x)
     gamma = _as_tensor(gamma)
@@ -499,11 +368,8 @@ def layer_norm_rows(x, gamma, beta, eps=1e-6):
     var = (centered * centered).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     standardized = centered * inv_std
-    out = Tensor._op(standardized * gamma.data + beta.data,
-                     (x, gamma, beta), None)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         _accumulate(gamma, (g * standardized).sum(axis=0))
         _accumulate(beta, g.sum(axis=0))
         if x.requires_grad:
@@ -512,8 +378,8 @@ def layer_norm_rows(x, gamma, beta, eps=1e-6):
             proj = (gg * standardized).mean(axis=1, keepdims=True)
             _accumulate(x, inv_std * (gg - gg_mean - standardized * proj))
 
-    out._backward_fn = backward
-    return out
+    return Tensor._op(standardized * gamma.data + beta.data,
+                      (x, gamma, beta), backward)
 
 
 def bmm(a, b):
@@ -524,81 +390,9 @@ def bmm(a, b):
         raise ShapeError(f"bmm expects 3-d stacks, got {a.shape} and {b.shape}")
     if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[1]:
         raise ShapeError(f"bmm shapes are incompatible: {a.shape} @ {b.shape}")
-    out = Tensor._op(np.matmul(a.data, b.data), (a, b), None)
 
-    def backward():
-        _accumulate(a, np.matmul(out.grad, b.data.swapaxes(1, 2)))
-        _accumulate(b, np.matmul(a.data.swapaxes(1, 2), out.grad))
+    def backward(g):
+        _accumulate(a, np.matmul(g, b.data.swapaxes(1, 2)))
+        _accumulate(b, np.matmul(a.data.swapaxes(1, 2), g))
 
-    out._backward_fn = backward
-    return out
-
-
-class TensorRingCores:
-    """One order-3 core per modality with a single shared rank.
-
-    Every core has shape (leading, rank, rank); equal ranks make the set
-    ring-compatible in any order.
-    """
-
-    def __init__(self, cores):
-        self.cores = dict(cores)
-        self.validate()
-
-    def validate(self):
-        if not self.cores:
-            raise ShapeError("TensorRingCores requires at least one core")
-        rank = None
-        for name, core in self.cores.items():
-            if core.data.ndim != 3:
-                raise ShapeError(f"core {name!r} is not order-3: {core.shape}")
-            if core.data.shape[1] != core.data.shape[2]:
-                raise ShapeError(f"core {name!r} rank axes differ: {core.shape}")
-            if rank is None:
-                rank = core.data.shape[1]
-            elif core.data.shape[1] != rank:
-                raise ShapeError(
-                    f"core {name!r} rank {core.data.shape[1]} != shared rank {rank}")
-        if rank < 1:
-            raise ShapeError("tensor rank must be >= 1")
-
-    @property
-    def rank(self):
-        return next(iter(self.cores.values())).data.shape[1]
-
-    def to_payload(self):
-        return {name: tensor_to_fixture(core) for name, core in self.cores.items()}
-
-    @classmethod
-    def from_payload(cls, payload):
-        return cls({name: tensor_from_fixture(fx) for name, fx in payload.items()})
-
-
-# --- JSON fixture format for test vectors ---
-
-def tensor_to_fixture(t):
-    """``{"shape": [...], "data": [...]}`` with data in row-major order."""
-    t = _as_tensor(t)
-    return {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
-
-
-def tensor_from_fixture(fixture):
-    shape = tuple(int(s) for s in fixture["shape"])
-    data = np.asarray(fixture["data"], dtype=np.float64)
-    expected = 1
-    for s in shape:
-        expected *= s
-    if data.size != expected:
-        raise ShapeError(
-            f"fixture data length {data.size} does not match shape {shape}")
-    return Tensor(data.reshape(shape))
-
-
-def save_fixture(t, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tensor_to_fixture(t), fh)
-
-
-def load_fixture(path):
-    with open(path, encoding="utf-8") as fh:
-        return tensor_from_fixture(json.load(fh))
+    return Tensor._op(np.matmul(a.data, b.data), (a, b), backward)

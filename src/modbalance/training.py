@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import batches as make_batches
-from .errors import ConfigError, DivergenceError
+from .dataset import MODALITIES, batches as make_batches
+from .errors import ConfigError, DivergenceError, check_keys
 from .losses import LossBreakdown, cls_loss, feature_loss, main_loss, modal_loss
 from .metrics import EvalReport, logit_trace
-from .model import MODALITIES
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, no_grad, softmax_array
 
 logger = logging.getLogger(__name__)
 
@@ -44,8 +43,6 @@ class OptimizerConfig:
     batch_size: int = 10
     epochs: int = 50
     noise: bool = True
-    noise_estimate: str = "sample"  # "sample" or "scaled"
-    noise_scale: float = 0.1  # only for the "scaled" fallback
     seed: int = 0
     disable_modulation: bool = False
 
@@ -56,19 +53,12 @@ class OptimizerConfig:
             raise ConfigError("alpha must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
-        if self.noise_estimate not in ("sample", "scaled"):
-            raise ConfigError(
-                f"noise_estimate must be 'sample' or 'scaled', "
-                f"got {self.noise_estimate!r}")
         return self
 
     @classmethod
     def from_dict(cls, payload):
-        known = {k: v for k, v in payload.items() if k in cls.__dataclass_fields__}
-        unknown = set(payload) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown optimizer options: {sorted(unknown)}")
-        return cls(**known).validate()
+        check_keys(payload, cls.__dataclass_fields__, "optimizer options")
+        return cls(**payload).validate()
 
 
 @dataclass
@@ -109,15 +99,13 @@ class TrainResult:
     eval_history: list  # (epoch, accuracy, weighted_f1) on the eval split
     best_epoch: int = 0
     best_weighted_f1: float = 0.0
+    final_report: EvalReport | None = None  # last epoch, on eval_data
 
 
 def unimodal_score(logits, labels):
     """Summed softmax probability of the true class over a batch of rows."""
-    logits = np.asarray(logits, dtype=np.float64)
+    probs = softmax_array(np.asarray(logits, dtype=np.float64), axis=1)
     labels = np.asarray(labels)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
     return float(probs[np.arange(len(labels)), labels].sum())
 
 
@@ -166,13 +154,8 @@ def _conversation_losses(model, conv, active, dropout_rng):
     if out.afw_state is None:
         feature_term = Tensor(0.0)
     else:
-        attention = out.afw_state.attention
-        mapped = out.afw_state.mapped
-        if model.config.feature_stop_grad == "attention":
-            attention = {m: t.detach() for m, t in attention.items()}
-        elif model.config.feature_stop_grad == "mapper":
-            mapped = {m: t.detach() for m, t in mapped.items()}
-        feature_term = feature_loss(attention, mapped)
+        feature_term = feature_loss(out.afw_state.attention,
+                                    out.afw_state.mapped)
     modal_term = modal_loss(out.fused, conv.labels)
     total = main_loss(cls_term, feature_term, modal_term)
     return out, total, cls_term.item(), feature_term.item(), modal_term.item()
@@ -230,8 +213,7 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
             step += 1
             grad_sum = {name: np.zeros_like(p.data) for name, p in params.items()}
             zero_cache = {}
-            per_conv_grads = [] if (use_noise and
-                                    config.noise_estimate == "sample") else None
+            per_conv_grads = [] if use_noise else None
             score_logits = {m: [] for m in active}
             labels = []
             cls_parts, feature_parts, modal_parts = [], [], []
@@ -271,7 +253,7 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
 
             noise_std = None
             if use_noise:
-                noise_std = _noise_std(per_conv_grads, grads, modulated, config)
+                noise_std = _noise_std(per_conv_grads, grads, modulated)
 
             for m in active:
                 block = encoder_blocks[m]
@@ -295,6 +277,7 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
 
         if eval_data is not None:
             report = evaluate(model, eval_data, active=active)
+            result.final_report = report
             result.eval_history.append((epoch, report.accuracy,
                                         report.weighted_f1))
             if report.weighted_f1 > result.best_weighted_f1:
@@ -303,18 +286,15 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
     return result
 
 
-def _noise_std(per_conv_grads, grads, modulated, config):
+def _noise_std(per_conv_grads, grads, modulated):
     """Per-parameter noise scale for the modulated encoder blocks.
 
-    "sample": the diagonal std of the minibatch mean gradient, i.e. the
-    sample standard deviation of each parameter's gradient across the
+    The diagonal std of the minibatch mean gradient, i.e. the sample
+    standard deviation of each parameter's gradient across the
     conversations of the minibatch divided by sqrt(batch size); this
-    matches the sampling noise the SGD estimate already carries.
-    "scaled": |mean gradient| times a fixed factor.
+    matches the sampling noise the SGD estimate already carries. A batch
+    of one conversation gets zero noise.
     """
-    if config.noise_estimate == "scaled":
-        return {name: np.abs(grads[name]) * config.noise_scale
-                for name in modulated}
     std = {}
     count = len(per_conv_grads)
     for name in modulated:

@@ -1,9 +1,12 @@
 """Checkpoint format and full-model persistence."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from modbalance.checkpoint import load_checkpoint, save_checkpoint
+from modbalance.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from modbalance.errors import CheckpointError
 from modbalance.model import Model, ModelConfig
 
@@ -41,6 +44,43 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+def _raw_checkpoint(header, payload=b"\0" * 8):
+    blob = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(blob)) + blob + payload
+
+
+ENTRY = {"name": "w", "shape": [1], "offset": 0}
+
+MALFORMED = {
+    "shorter_than_16_bytes": MAGIC + b"\1\0",
+    "header_runs_past_end": MAGIC + struct.pack("<Q", 1000) + b"{}",
+    "header_not_an_object": _raw_checkpoint([ENTRY]),
+    "no_tensors": _raw_checkpoint({"meta": {}}),
+    **{f"entry_lacks_{key}": _raw_checkpoint({"tensors": [
+        {k: v for k, v in ENTRY.items() if k != key}]})
+       for key in ENTRY},
+    "negative_offset": _raw_checkpoint({"tensors": [{**ENTRY, "offset": -8}]}),
+    "fractional_offset": _raw_checkpoint(
+        {"tensors": [{**ENTRY, "offset": 0.5}]}, payload=b"\0" * 16),
+    "negative_dim": _raw_checkpoint({"tensors": [{**ENTRY, "shape": [-1]}]}),
+    "tensor_past_end": _raw_checkpoint({"tensors": [{**ENTRY, "offset": 8}]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_checkpoint_rejects_malformed_files_naming_them(tmp_path, case):
+    path = tmp_path / f"{case}.bin"
+    path.write_bytes(MALFORMED[case])
+    with pytest.raises(CheckpointError, match=case):
+        load_checkpoint(path)
+
+
+def test_checkpoint_minimal_raw_file_loads(tmp_path):
+    path = tmp_path / "ok.bin"
+    path.write_bytes(_raw_checkpoint({"tensors": [ENTRY]}))
+    assert load_checkpoint(path)[1]["w"].tolist() == [0.0]
+
+
 def test_model_save_load_round_trip(tmp_path):
     config = ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12)
     model = Model(config, num_classes=3, dims={"t": 6, "a": 5, "v": 4}, seed=5)
@@ -67,4 +107,33 @@ def test_model_load_rejects_mismatched_names(tmp_path):
         "model": config.to_dict(), "num_classes": 3,
         "dims": {"t": 6, "a": 5, "v": 4}})
     with pytest.raises(CheckpointError):
+        Model.load(path)
+
+
+def _save_with_model_meta(path, model, **options):
+    arrays = {n: p.data for n, p in model.named_parameters().items()}
+    save_checkpoint(path, arrays, meta={
+        "model": {**model.config.to_dict(), **options},
+        "num_classes": model.num_classes, "dims": model.dims})
+
+
+def test_model_loads_checkpoint_with_retired_options_at_old_defaults(tmp_path):
+    config = ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12)
+    model = Model(config, num_classes=3, dims={"t": 6, "a": 5, "v": 4}, seed=5)
+    path = tmp_path / "old.bin"
+    _save_with_model_meta(path, model, positional=False, feature_stop_grad="")
+    back = Model.load(path)
+    assert back.config.to_dict() == config.to_dict()
+    model.save(tmp_path / "new.bin")
+    assert (tmp_path / "new.bin").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("positional", True), ("feature_stop_grad", "attention")])
+def test_model_load_refuses_retired_option_in_use(tmp_path, option, value):
+    config = ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12)
+    model = Model(config, num_classes=3, dims={"t": 6, "a": 5, "v": 4}, seed=5)
+    path = tmp_path / "old.bin"
+    _save_with_model_meta(path, model, **{option: value})
+    with pytest.raises(CheckpointError, match=option):
         Model.load(path)

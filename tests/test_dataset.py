@@ -19,7 +19,7 @@ from modbalance.dataset import (
     split_holdout,
     to_payload,
 )
-from modbalance.errors import DatasetError
+from modbalance.errors import ConfigError, DatasetError
 
 
 def small_spec(**overrides):
@@ -108,6 +108,16 @@ def test_spec_validation():
         small_spec(utterances=(3, 2)).validate()
 
 
+def test_spec_from_dict_rejects_unknown_keys_and_bad_values():
+    assert SynthSpec.from_dict({"conversations": 3}).conversations == 3
+    with pytest.raises(ConfigError, match="convesations"):
+        SynthSpec.from_dict({"convesations": 3})
+    with pytest.raises(ConfigError, match="'x'"):
+        SynthSpec.from_dict({"dims": {"t": 6, "a": 5, "v": 4, "x": 2}})
+    with pytest.raises(DatasetError, match="bad value"):
+        SynthSpec.from_dict({"utterances": [2]})
+
+
 # --- file format ---
 
 def test_save_load_round_trip(tmp_path):
@@ -165,6 +175,23 @@ def test_minimal_single_utterance_fixture():
     data = from_payload(json.loads(json.dumps(payload)))
     assert data.conversations[0].num_utterances == 1
     assert data.conversations[0].labels[0] == 1
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("a", [[float("nan"), 0.0]], "non-finite"),
+    ("v", [[float("inf"), 0.0]], "non-finite"),
+    ("labels", [1.7], "labels must be a list of integers"),
+    ("labels", [True], "labels must be a list of integers"),
+    ("t", [["x", 0.0]], "not lists of numbers"),
+])
+def test_load_rejects_bad_values_naming_the_conversation(field, value, message):
+    entry = {"id": "c7", "labels": [1],
+             "t": [[0.5, -0.5]], "a": [[1.0, 0.0]], "v": [[0.0, 1.0]]}
+    entry[field] = value
+    payload = {"num_classes": 2, "dims": {"t": 2, "a": 2, "v": 2},
+               "conversations": [entry]}
+    with pytest.raises(DatasetError, match=f"conversation c7: .*{message}"):
+        from_payload(json.loads(json.dumps(payload)))
 
 
 # --- batching ---

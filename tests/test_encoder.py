@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from modbalance.encoder import (
-    EncoderConfig,
-    EncoderParams,
-    encode,
-    layer_norm,
-    sinusoidal_encoding,
-)
+from modbalance import encoder
+from modbalance.encoder import EncoderConfig, EncoderParams, encode
 from modbalance.errors import ConfigError, ShapeError
-from modbalance.tensor import Tensor
+from modbalance.tensor import Tensor, layer_norm_rows
 
 from conftest import assert_grad_matches
 
@@ -41,22 +36,37 @@ def test_output_shape_and_dim_check():
         encode(rng.standard_normal((6, 4)), params)
 
 
-def test_single_utterance_attends_to_itself():
+def collect_attention(monkeypatch):
+    """Record the attention weights each encoder layer computes."""
+    collected = []
+    original = encoder.softmax
+
+    def recording_softmax(*args, **kwargs):
+        weights = original(*args, **kwargs)
+        collected.append(weights)
+        return weights
+
+    monkeypatch.setattr(encoder, "softmax", recording_softmax)
+    return collected
+
+
+def test_single_utterance_attends_to_itself(monkeypatch):
     params = make_params()
     rng = np.random.default_rng(2)
-    collected = []
-    z = encode(rng.standard_normal((1, 5)), params, collect_attention=collected)
+    collected = collect_attention(monkeypatch)
+    z = encode(rng.standard_normal((1, 5)), params)
     assert z.shape == (1, 8)
+    assert len(collected) == 1
     for weights in collected:  # one (heads, n, n) stack per layer
         assert weights.shape == (2, 1, 1)
         assert np.abs(weights.data - 1.0).max() < 1e-12
 
 
-def test_attention_rows_sum_to_one():
+def test_attention_rows_sum_to_one(monkeypatch):
     params = make_params(layers=2)
     rng = np.random.default_rng(3)
-    collected = []
-    encode(rng.standard_normal((7, 5)), params, collect_attention=collected)
+    collected = collect_attention(monkeypatch)
+    encode(rng.standard_normal((7, 5)), params)
     assert len(collected) == 2  # one stack per layer
     for weights in collected:
         assert weights.shape == (2, 7, 7)
@@ -73,30 +83,12 @@ def test_permutation_equivariance_without_positions():
     assert np.abs(permuted - base[perm]).max() < 1e-10
 
 
-def test_positional_encoding_breaks_equivariance():
-    params = make_params(positional=True)
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((6, 5))
-    perm = np.roll(np.arange(6), 1)
-    base = encode(x, params).data
-    permuted = encode(x[perm], params).data
-    assert np.abs(permuted - base[perm]).max() > 1e-6
-
-
-def test_sinusoidal_table_shape_and_range():
-    table = sinusoidal_encoding(10, 8)
-    assert table.shape == (10, 8)
-    assert np.abs(table).max() <= 1.0
-    assert np.array_equal(table[0, 0::2], np.zeros(4))  # sin(0)
-    assert np.array_equal(table[0, 1::2], np.ones(4))   # cos(0)
-
-
 def test_layer_norm_standardizes_rows():
     rng = np.random.default_rng(6)
     x = Tensor(rng.standard_normal((5, 16)) * 3.0 + 2.0)
     gamma = Tensor(np.ones(16))
     beta = Tensor(np.zeros(16))
-    out = layer_norm(x, gamma, beta).data
+    out = layer_norm_rows(x, gamma, beta).data
     assert np.abs(out.mean(axis=1)).max() < 1e-6
     assert np.abs(out.var(axis=1) - 1.0).max() < 1e-6
 

@@ -12,8 +12,12 @@ from modbalance.metrics import (
     confusion_matrix,
     logit_trace,
     per_class_stats,
-    weighted_f1,
 )
+
+
+def weighted_f1(preds, labels, num_classes):
+    return EvalReport.from_predictions(
+        np.asarray(preds), np.asarray(labels), num_classes).weighted_f1
 
 
 def test_accuracy_all_correct():
@@ -81,6 +85,10 @@ def test_confusion_rows_are_supports_and_trace_is_accuracy():
     for c in range(3):
         assert counts[c].sum() == int((labels == c).sum())
     assert counts.trace() / 30 == accuracy(preds, labels)
+    expected = np.zeros((3, 3), dtype=np.int64)
+    for y, p in zip(labels, preds):
+        expected[y, p] += 1
+    assert np.array_equal(counts, expected)
 
 
 def test_logit_trace_identical_modalities():

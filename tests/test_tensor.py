@@ -1,6 +1,6 @@
 """Autodiff engine: forward oracles and finite-difference gradient checks."""
 
-import json
+import gc
 import math
 
 import numpy as np
@@ -9,19 +9,13 @@ import pytest
 from modbalance.errors import ShapeError
 from modbalance.tensor import (
     Tensor,
-    TensorRingCores,
     bmm,
-    concat,
     contract_last,
     khatri_rao_mode1,
     l2_norm,
     layer_norm_rows,
-    load_fixture,
-    save_fixture,
+    no_grad,
     softmax,
-    tensor_from_fixture,
-    tensor_to_fixture,
-    tr_reconstruct,
 )
 
 from conftest import assert_grad_matches
@@ -91,48 +85,6 @@ def test_contract_last_matches_loop_oracle():
 def test_contract_last_rejects_rank_mismatch():
     with pytest.raises(ShapeError):
         contract_last(Tensor(np.ones((2, 3, 3))), Tensor(np.ones((4, 4))))
-
-
-# --- tensor-ring reconstruction ---
-
-def test_tr_reconstruct_rank1_ones():
-    ones = Tensor(np.ones((3, 1, 1)))
-    out = tr_reconstruct(ones, ones, ones)
-    assert np.array_equal(out.data, np.ones((3, 3, 3)))
-
-
-def test_tr_reconstruct_rank1_separable():
-    rng = np.random.default_rng(3)
-    g1 = rng.standard_normal(2)
-    g2 = rng.standard_normal(3)
-    g3 = rng.standard_normal(4)
-    out = tr_reconstruct(
-        Tensor(g1.reshape(2, 1, 1)),
-        Tensor(g2.reshape(3, 1, 1)),
-        Tensor(g3.reshape(4, 1, 1)),
-    )
-    expected = g1[:, None, None] * g2[None, :, None] * g3[None, None, :]
-    assert np.abs(out.data - expected).max() < 1e-12
-
-
-def test_tr_reconstruct_matches_trace_oracle():
-    rng = np.random.default_rng(4)
-    cores = [Tensor(rng.standard_normal((3, 2, 2))) for _ in range(3)]
-    out = tr_reconstruct(*cores)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                expected = np.trace(
-                    cores[0].data[i] @ cores[1].data[j] @ cores[2].data[k])
-                assert abs(out.data[i, j, k] - expected) < 1e-10
-
-
-def test_tr_reconstruct_rejects_incompatible_ring():
-    g1 = Tensor(np.ones((2, 2, 3)))
-    g2 = Tensor(np.ones((2, 2, 2)))  # expects leading rank 3
-    g3 = Tensor(np.ones((2, 2, 2)))
-    with pytest.raises(ShapeError):
-        tr_reconstruct(g1, g2, g3)
 
 
 # --- softmax ---
@@ -241,12 +193,6 @@ def test_grad_div():
     assert_grad_matches(lambda: (a / b).sum(), [a, b])
 
 
-def test_grad_pow():
-    rng = np.random.default_rng(14)
-    a = _leaf(rng, (2, 3), positive=True)
-    assert_grad_matches(lambda: (a ** 3).sum(), [a])
-
-
 def test_grad_matmul():
     rng = np.random.default_rng(15)
     a = _leaf(rng, (3, 4))
@@ -263,10 +209,10 @@ def test_grad_relu():
     assert_grad_matches(lambda: (a.relu() * a).sum(), [a])
 
 
-def test_grad_exp_log_sqrt():
+def test_grad_log_sqrt():
     rng = np.random.default_rng(17)
     a = _leaf(rng, (2, 3), positive=True)
-    assert_grad_matches(lambda: (a.exp() + a.log() + a.sqrt()).sum(), [a])
+    assert_grad_matches(lambda: (a.log() + a.sqrt()).sum(), [a])
 
 
 def test_grad_abs_away_from_zero():
@@ -293,20 +239,15 @@ def test_grad_sum_axis_and_mean():
     assert_grad_matches(lambda: (a.mean(axis=(0, 2)) * 2.0).sum(), [a])
 
 
-def test_grad_reshape_transpose_getitem():
+def test_grad_reshape_transpose():
     rng = np.random.default_rng(21)
     a = _leaf(rng, (3, 4))
-    assert_grad_matches(lambda: (a.reshape(2, 6) ** 2).sum(), [a])
+    r = Tensor(rng.standard_normal((2, 6)))
+    assert_grad_matches(lambda: (a.reshape(2, 6) * r).sum(), [a])
     assert_grad_matches(lambda: (a.T @ Tensor(np.ones((3, 2)))).sum(), [a])
-    assert_grad_matches(lambda: (a[:, 1:3] * 3.0).sum(), [a])
-
-
-def test_grad_concat():
-    rng = np.random.default_rng(22)
-    a = _leaf(rng, (2, 3))
-    b = _leaf(rng, (2, 2))
-    r = Tensor(rng.standard_normal((2, 5)))
-    assert_grad_matches(lambda: (concat([a, b], axis=1) * r).sum(), [a, b])
+    x = _leaf(rng, (2, 3, 4))
+    q = Tensor(rng.standard_normal((4, 2, 3)))
+    assert_grad_matches(lambda: (x.transpose((2, 0, 1)) * q).sum(), [x])
 
 
 def test_grad_softmax():
@@ -330,15 +271,6 @@ def test_grad_contract_last():
     a = _leaf(rng, (3, 3))
     r = Tensor(rng.standard_normal((2, 3, 3)))
     assert_grad_matches(lambda: (contract_last(x, a) * r).sum(), [x, a])
-
-
-def test_grad_tr_reconstruct():
-    rng = np.random.default_rng(26)
-    g1 = _leaf(rng, (2, 2, 3))
-    g2 = _leaf(rng, (3, 3, 2))
-    g3 = _leaf(rng, (2, 2, 2))
-    r = Tensor(rng.standard_normal((2, 3, 2)))
-    assert_grad_matches(lambda: (tr_reconstruct(g1, g2, g3) * r).sum(), [g1, g2, g3])
 
 
 def test_grad_l2_norm():
@@ -392,38 +324,16 @@ def test_bmm_rejects_mismatched_stacks():
         bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
 
 
-# --- fixture format and core container ---
+# --- graph lifetime ---
 
-def test_fixture_round_trip_is_bit_exact(tmp_path):
-    rng = np.random.default_rng(28)
-    t = Tensor(rng.standard_normal((2, 3, 4)))
-    path = tmp_path / "fixture.json"
-    save_fixture(t, path)
-    back = load_fixture(path)
-    assert back.data.shape == t.data.shape
-    assert np.array_equal(back.data, t.data)
-
-
-def test_fixture_rejects_length_mismatch():
-    with pytest.raises(ShapeError):
-        tensor_from_fixture({"shape": [2, 2], "data": [1.0, 2.0, 3.0]})
-
-
-def test_tensor_ring_cores_round_trip():
-    rng = np.random.default_rng(29)
-    cores = TensorRingCores({
-        m: Tensor(rng.standard_normal((4, 2, 2))) for m in ("t", "a", "v")
-    })
-    assert cores.rank == 2
-    payload = json.loads(json.dumps(cores.to_payload()))
-    back = TensorRingCores.from_payload(payload)
-    for m in ("t", "a", "v"):
-        assert np.array_equal(back.cores[m].data, cores.cores[m].data)
-
-
-def test_tensor_ring_cores_rejects_mixed_ranks():
-    with pytest.raises(ShapeError):
-        TensorRingCores({
-            "t": Tensor(np.ones((3, 2, 2))),
-            "a": Tensor(np.ones((3, 3, 3))),
-        })
+def test_no_grad_results_form_no_reference_cycles():
+    a = Tensor(np.ones((2, 2)))
+    gc.collect()
+    gc.disable()
+    try:
+        with no_grad():
+            for _ in range(1000):
+                a * 2.0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,6 @@
 """Balance optimizer: scores, ratios, modulation, updates, and the loop."""
 
+import gc
 import math
 
 import numpy as np
@@ -169,9 +170,10 @@ def test_optimizer_config_validation():
     with pytest.raises(ConfigError):
         OptimizerConfig(alpha=-1.0).validate()
     with pytest.raises(ConfigError):
-        OptimizerConfig(noise_estimate="bogus").validate()
-    with pytest.raises(ConfigError):
         OptimizerConfig.from_dict({"learning_rate": 0.1, "bogus": 1})
+    for retired in ({"noise_estimate": "sample"}, {"noise_scale": 0.1}):
+        with pytest.raises(ConfigError, match=next(iter(retired))):
+            OptimizerConfig.from_dict(retired)
 
 
 # --- training loop ---
@@ -311,6 +313,7 @@ def test_eval_history_tracks_best_epoch():
     assert len(result.eval_history) == 3
     best = max(result.eval_history, key=lambda row: row[2])
     assert result.best_weighted_f1 == best[2]
+    assert result.final_report == evaluate(model, holdout)
 
 
 def test_evaluate_reports_pooled_metrics():
@@ -319,3 +322,23 @@ def test_evaluate_reports_pooled_metrics():
     report = evaluate(model, data)
     total = sum(c.num_utterances for c in data)
     assert np.array(report.confusion).sum() == total
+
+
+def test_backward_leaves_no_reference_cycles():
+    model = tiny_model(seed=15)
+    conv = tiny_data(conversations=1)[0]
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        out = model.forward(conv.features)
+        main_loss(cls_loss(out.outputs, conv.labels),
+                  feature_loss(out.afw_state.attention, out.afw_state.mapped),
+                  modal_loss(out.fused, conv.labels)).backward()
+        del out
+        gc.collect()
+        assert not [o for o in gc.garbage if isinstance(o, Tensor)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
