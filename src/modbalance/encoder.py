@@ -5,6 +5,10 @@ hidden size followed by post-norm transformer blocks (multi-head
 self-attention, two-layer feed-forward, residuals, layer norm). These are
 the parameter blocks the balance optimizer modulates, so they are kept
 cleanly separable from the fusion parameters.
+
+Multi-head self-attention is one graph node with a hand-written backward,
+and each projection is one ``linear`` node, so a layer adds eight nodes to
+the graph whatever the number of heads.
 """
 
 from dataclasses import dataclass
@@ -12,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, bmm, layer_norm_rows, softmax
+from .tensor import (
+    Tensor,
+    accumulate,
+    layer_norm_rows,
+    linear,
+    softmax_array,
+    softmax_vjp,
+)
 
 
 @dataclass
@@ -92,16 +103,42 @@ def _dropout(x, rate, rng):
 
 
 def _self_attention(x, block, heads):
+    """Multi-head scaled dot-product self-attention over the rows of ``x``,
+    with its output projection, as one graph node.
+
+    The query, key and value weights stay separate parameters; they are
+    joined column-wise here so one matmul projects all three.
+    """
+    wq, wk, wv, wo, bo = (block[k] for k in ("wq", "wk", "wv", "wo", "bo"))
     n, h = x.shape
     head_dim = h // heads
-    # split columns into heads: (n, h) -> (heads, n, head_dim)
-    q = (x @ block["wq"]).reshape(n, heads, head_dim).transpose((1, 0, 2))
-    k = (x @ block["wk"]).reshape(n, heads, head_dim).transpose((1, 0, 2))
-    v = (x @ block["wv"]).reshape(n, heads, head_dim).transpose((1, 0, 2))
-    scores = bmm(q, k.transpose((0, 2, 1))) * (1.0 / np.sqrt(head_dim))
-    weights = softmax(scores, axis=2)
-    mixed = bmm(weights, v).transpose((1, 0, 2)).reshape(n, h)
-    return mixed @ block["wo"] + block["bo"]
+    scale = 1.0 / np.sqrt(head_dim)
+    w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    # (n, 3h) -> three (heads, n, head_dim) stacks
+    qkv = (x.data @ w_qkv).reshape(n, 3, heads, head_dim)
+    q, k, v = qkv.transpose(1, 2, 0, 3)
+    weights = softmax_array(np.matmul(q, k.swapaxes(1, 2)) * scale, axis=2)
+    mixed = np.matmul(weights, v).transpose(1, 0, 2).reshape(n, h)
+
+    def backward(g):
+        accumulate(wo, mixed.T @ g)
+        accumulate(bo, g.sum(axis=0))
+        g_mixed = (g @ wo.data.T).reshape(n, heads, head_dim)
+        g_mixed = g_mixed.transpose(1, 0, 2)
+        g_scores = softmax_vjp(
+            weights, np.matmul(g_mixed, v.swapaxes(1, 2)), axis=2) * scale
+        g_qkv = np.stack((np.matmul(g_scores, k),
+                          np.matmul(g_scores.swapaxes(1, 2), q),
+                          np.matmul(weights.swapaxes(1, 2), g_mixed)))
+        g_qkv = g_qkv.transpose(2, 0, 1, 3).reshape(n, 3 * h)
+        g_w = x.data.T @ g_qkv
+        accumulate(wq, g_w[:, :h])
+        accumulate(wk, g_w[:, h:2 * h])
+        accumulate(wv, g_w[:, 2 * h:])
+        accumulate(x, g_qkv @ w_qkv.T)
+
+    return Tensor._op(mixed @ wo.data + bo.data, (x, wq, wk, wv, wo, bo),
+                      backward)
 
 
 def encode(x, params, rng=None):
@@ -115,12 +152,13 @@ def encode(x, params, rng=None):
         raise ShapeError(
             f"encoder expects (N, {params.input_dim}) input, got {x.shape}")
     config = params.config
-    z = x @ params.w_in + params.b_in
+    z = linear(x, params.w_in, params.b_in)
     for block in params.blocks:
         attn = _dropout(_self_attention(z, block, config.heads),
                         config.dropout, rng)
         z = layer_norm_rows(z + attn, block["ln1_g"], block["ln1_b"])
-        ff = (z @ block["w1"] + block["b1"]).relu() @ block["w2"] + block["b2"]
+        ff = linear(linear(z, block["w1"], block["b1"]).relu(),
+                    block["w2"], block["b2"])
         z = layer_norm_rows(z + _dropout(ff, config.dropout, rng),
                             block["ln2_g"], block["ln2_b"])
     return z

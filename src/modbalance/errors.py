@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import dataclasses
+
 
 class ModBalanceError(Exception):
     """Base class for all package-specific errors."""
@@ -32,3 +34,19 @@ def check_keys(payload, known, what):
     unknown = set(payload) - set(known)
     if unknown:
         raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+
+
+def check_fields(payload, cls, what):
+    """``check_keys`` against the fields of dataclass ``cls``, then raise
+    ConfigError naming the first value whose type is not its field's. A
+    bool is not a number; an int is a valid float."""
+    check_keys(payload, cls.__dataclass_fields__, what)
+    for f in dataclasses.fields(cls):
+        if f.name not in payload:
+            continue
+        value = payload[f.name]
+        expected = (int, float) if f.type is float else f.type
+        if (not isinstance(value, expected)
+                or isinstance(value, bool) != (f.type is bool)):
+            raise ConfigError(
+                f"{what}: {f.name} must be {f.type.__name__}, got {value!r}")

@@ -8,6 +8,9 @@ contractions, so every modality's feature attention depends on the others.
 A residual gate blends the attention back into the hidden states, and a
 small mapping network learns to predict the attention map from the raw
 hidden states (the alignment target of the feature loss).
+
+Each step (cores, coefficients, pooling, the contraction chain with its
+output map, the gate) is one graph node with a hand-written backward.
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,7 @@ import numpy as np
 from .dataset import MODALITIES
 from .encoder import uniform_init, zeros_param
 from .errors import ConfigError, ShapeError
-from .tensor import contract_last, khatri_rao_mode1, softmax
+from .tensor import Tensor, accumulate, linear, softmax_array, softmax_vjp
 
 
 class FeatureWeightParams:
@@ -70,13 +73,21 @@ def make_cores(z, w1, w2):
     Row n of the Khatri-Rao product of z@w1 and z@w2 is reshaped row-major
     into an r x r slice.
     """
-    first = z @ w1
-    second = z @ w2
-    n, rank = first.shape
-    if second.shape != (n, rank):
+    first = z.data @ w1.data
+    second = z.data @ w2.data
+    if second.shape != first.shape:
         raise ShapeError(
             f"core projections disagree: {first.shape} vs {second.shape}")
-    return khatri_rao_mode1(first, second).reshape(n, rank, rank)
+
+    def backward(g):
+        g_first = (g * second[:, None, :]).sum(axis=2)
+        g_second = (g * first[:, :, None]).sum(axis=1)
+        accumulate(w1, z.data.T @ g_first)
+        accumulate(w2, z.data.T @ g_second)
+        accumulate(z, g_first @ w1.data.T + g_second @ w2.data.T)
+
+    return Tensor._op(first[:, :, None] * second[:, None, :], (z, w1, w2),
+                      backward)
 
 
 def attention_coefficients(cores_q, cores_k, d_k):
@@ -87,14 +98,30 @@ def attention_coefficients(cores_q, cores_k, d_k):
         raise ShapeError(
             f"query/key cores disagree: {cores_q.shape} vs {cores_k.shape}")
     n, rank, _ = cores_q.shape
-    scores = (cores_q * cores_k) * (1.0 / np.sqrt(d_k))
-    flat = scores.reshape(n, rank * rank)
-    return softmax(flat, axis=1).reshape(n, rank, rank)
+    scale = 1.0 / np.sqrt(d_k)
+    scores = (cores_q.data * cores_k.data) * scale
+    theta = softmax_array(scores.reshape(n, rank * rank), axis=1)
+
+    def backward(g):
+        g_scores = softmax_vjp(theta, g.reshape(n, rank * rank), axis=1)
+        g_scores = g_scores.reshape(n, rank, rank) * scale
+        accumulate(cores_q, g_scores * cores_k.data)
+        accumulate(cores_k, g_scores * cores_q.data)
+
+    return Tensor._op(theta.reshape(n, rank, rank), (cores_q, cores_k),
+                      backward)
 
 
 def pool_attention(coefficients):
     """Average the per-utterance slices down to a single r x r matrix."""
-    return coefficients.mean(axis=0)
+    n = coefficients.shape[0]
+
+    def backward(g):
+        accumulate(coefficients,
+                   np.broadcast_to(g * (1.0 / n), coefficients.shape))
+
+    return Tensor._op(coefficients.data.sum(axis=0) * (1.0 / n),
+                      (coefficients,), backward)
 
 
 def feature_attention(coefficients, pooled, out_map, active=MODALITIES):
@@ -103,26 +130,51 @@ def feature_attention(coefficients, pooled, out_map, active=MODALITIES):
     The chain is what couples the modalities: perturbing any pooled matrix
     changes the result. Raises if a required pooled matrix is missing.
     """
-    x = coefficients
+    n, r1, r2 = coefficients.shape
+    factors = []
     for m in active:
         if m not in pooled:
             raise ShapeError(f"missing pooled attention for modality {m!r}")
-        x = contract_last(x, pooled[m])
-    n, r1, r2 = x.shape
-    return x.reshape(n, r1 * r2) @ out_map
+        if pooled[m].shape != (r2, r2):
+            raise ShapeError(
+                f"pooled attention of {m!r} is {pooled[m].shape}, expected "
+                f"{(r2, r2)}")
+        factors.append(pooled[m])
+    # chain[i] is the coefficients contracted with the first i factors
+    chain = [coefficients.data]
+    for p in factors:
+        chain.append(chain[-1] @ p.data)
+    flat = chain[-1].reshape(n, r1 * r2)
+
+    def backward(g):
+        accumulate(out_map, flat.T @ g)
+        g_x = (g @ out_map.data.T).reshape(n, r1, r2)
+        for x, p in zip(reversed(chain[:-1]), reversed(factors)):
+            accumulate(p, x.reshape(n * r1, r2).T @ g_x.reshape(n * r1, r2))
+            g_x = g_x @ p.data.T
+        accumulate(coefficients, g_x)
+
+    return Tensor._op(flat @ out_map.data,
+                      (coefficients, *factors, out_map), backward)
 
 
 def fuse_features(attention, z, beta):
     """Residual gate: attention (.) z + beta * z."""
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must be in [0, 1], got {beta}")
-    return attention * z + beta * z
+
+    def backward(g):
+        accumulate(attention, g * z.data)
+        accumulate(z, g * attention.data + g * beta)
+
+    return Tensor._op(attention.data * z.data + z.data * beta,
+                      (attention, z), backward)
 
 
 def map_attention(z, params):
     """Two-layer ReLU network predicting a modality's attention map."""
-    hidden = (z @ params.map_w1 + params.map_b1).relu()
-    return hidden @ params.map_w2 + params.map_b2
+    hidden = linear(z, params.map_w1, params.map_b1).relu()
+    return linear(hidden, params.map_w2, params.map_b2)
 
 
 def forward(z, params, d_k, beta, active=MODALITIES):

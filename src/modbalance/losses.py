@@ -6,6 +6,10 @@ directly to the fused cosine logits (before the classifier); the feature
 loss is an L1 alignment between each modality's attention map and its
 mapper prediction, normalized per utterance so conversation length does
 not change the scale.
+
+Cross-entropy is one graph node: the log-sum-exp of each row minus its
+true-class logit, whose gradient is ``(softmax - onehot) / N``. It stays
+finite for any finite logits.
 """
 
 from dataclasses import dataclass
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ShapeError
-from .tensor import Tensor, softmax
+from .tensor import Tensor, accumulate
 
 
 @dataclass
@@ -39,10 +43,19 @@ def _cross_entropy(logits, labels):
     if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
         raise ShapeError(
             f"label outside [0, {num_classes}): {labels.min()}..{labels.max()}")
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), labels] = 1.0
-    log_probs = softmax(logits, axis=1).log()
-    return -(log_probs * Tensor(onehot)).sum() * (1.0 / n)
+    rows = np.arange(n)
+    peak = logits.data.max(axis=1, keepdims=True)
+    shifted = logits.data - peak
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    loss = (np.log(total[:, 0]) - shifted[rows, labels]).sum() * (1.0 / n)
+
+    def backward(g):
+        grad = e / total  # the row softmax
+        grad[rows, labels] -= 1.0
+        accumulate(logits, grad * (g * (1.0 / n)))
+
+    return Tensor._op(loss, (logits,), backward)
 
 
 def cls_loss(outputs, labels):

@@ -5,6 +5,11 @@ and the class column of its output matrix, so no modality can dominate the
 fused logits by sheer feature or weight magnitude. Contributions are summed
 over the active modalities and a single shared bias is added afterwards.
 A small ReLU classifier maps the fused logits to the final predictions.
+
+Each modality's cosine term is one graph node with a hand-written
+backward. A feature row or weight column whose norm is below
+``NORM_FLOOR`` is divided by the floor instead, and its gradient is the
+plain ``1 / floor`` scaling, so it stays finite.
 """
 
 import logging
@@ -13,7 +18,7 @@ import numpy as np
 
 from .encoder import uniform_init, zeros_param
 from .errors import ShapeError
-from .tensor import Tensor, l2_norm
+from .tensor import Tensor, accumulate, linear
 
 logger = logging.getLogger(__name__)
 
@@ -55,14 +60,42 @@ class ClassifierParams:
         yield f"{prefix}.b2", self.b2
 
 
-def _floored_norm(t, axis, what):
-    norm = l2_norm(t, axis=axis, keepdims=True)
-    degenerate = int((norm.data <= NORM_FLOOR).sum())
+def _floored_norm(x, axis, what):
+    """Euclidean norms of ``x`` along ``axis`` (kept as a size-1 axis),
+    raised to ``NORM_FLOOR``; logs how many were raised."""
+    norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    degenerate = int((norm <= NORM_FLOOR).sum())
     if degenerate:
         logger.warning(
             "%d zero-norm %s hit the %g floor during cosine fusion",
             degenerate, what, NORM_FLOOR)
-    return norm.clamp_min(NORM_FLOOR)
+    return np.maximum(norm, NORM_FLOOR)
+
+
+def _normalize_vjp(unit, norm, g, axis):
+    """Gradient at ``x`` of ``unit = x / norm``, given ``g`` at ``unit``.
+
+    Above the floor the norm is ``|x|`` and the gradient removes the radial
+    part of ``g``; at the floor the norm is a constant.
+    """
+    radial = (g * unit).sum(axis=axis, keepdims=True) * (norm > NORM_FLOOR)
+    return (g - unit * radial) / norm
+
+
+def _cosine_logits(z, w, m):
+    """Cosine of each row of ``z`` (N x h) with each column of ``w``
+    (h x |E|), as one graph node; ``m`` names the modality in warnings."""
+    z_norm = _floored_norm(z.data, axis=1, what=f"{m} feature rows")
+    w_norm = _floored_norm(w.data, axis=0, what=f"{m} weight columns")
+    zn = z.data / z_norm
+    wn = w.data / w_norm
+
+    def backward(g):
+        if z.requires_grad:
+            accumulate(z, _normalize_vjp(zn, z_norm, g @ wn.T, axis=1))
+        accumulate(w, _normalize_vjp(wn, w_norm, zn.T @ g, axis=0))
+
+    return Tensor._op(zn @ wn, (z, w), backward)
 
 
 def fuse_modalities(features, head, active=None, normalized=True):
@@ -88,9 +121,7 @@ def fuse_modalities(features, head, active=None, normalized=True):
                 f"modality {m!r} features {z.shape} do not match head "
                 f"{w.shape}")
         if normalized:
-            zn = z / _floored_norm(z, axis=1, what=f"{m} feature rows")
-            wn = w / _floored_norm(w, axis=0, what=f"{m} weight columns")
-            contrib = zn @ wn
+            contrib = _cosine_logits(z, w, m)
         else:
             contrib = z @ w
         contributions[m] = contrib
@@ -100,8 +131,8 @@ def fuse_modalities(features, head, active=None, normalized=True):
 
 def classify(fused, params):
     """Final prediction logits; argmax over the last axis picks the class."""
-    hidden = (fused @ params.w1 + params.b1).relu()
-    return hidden @ params.w2 + params.b2
+    hidden = linear(fused, params.w1, params.b1).relu()
+    return linear(hidden, params.w2, params.b2)
 
 
 def weight_norm_trace(head, active=None):

@@ -16,7 +16,7 @@ from . import feature_weighting as afw
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import MODALITIES
 from .encoder import EncoderConfig, EncoderParams, encode
-from .errors import CheckpointError, ConfigError, check_keys
+from .errors import CheckpointError, ConfigError, check_fields
 from .modality_weighting import (
     ClassifierParams,
     FusionHead,
@@ -69,7 +69,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, payload):
-        check_keys(payload, cls.__dataclass_fields__, "model options")
+        check_fields(payload, cls, "model options")
         return cls(**payload).validate()
 
 

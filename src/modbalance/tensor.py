@@ -7,6 +7,13 @@ is consumed more than once. Each op hands ``Tensor._op`` a backward
 function of its output gradient; the result holds it only when the result
 is a graph node, and no backward function refers to its own output, so
 results never form reference cycles.
+
+The model's cost is the Python overhead of each graph node, not its
+arithmetic, so the hot layers are single fused nodes with a hand-written
+backward: ``linear`` and ``layer_norm_rows`` here, and self-attention, the
+tensor-ring steps, cosine fusion and cross-entropy in the modules that own
+them. The ``Tensor`` methods are the few elementwise ops and reductions
+that glue those nodes together.
 """
 
 import numpy as np
@@ -38,7 +45,9 @@ def _as_tensor(value):
     return Tensor(value)
 
 
-def _accumulate(t, g):
+def accumulate(t, g):
+    """Add gradient ``g`` into ``t.grad``; a backward function's only way to
+    pass a gradient on."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -97,10 +106,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    @property
-    def T(self):
-        return self.transpose()
-
     def item(self):
         return float(self.data)
 
@@ -117,9 +122,13 @@ class Tensor:
 
         ``self`` must be a scalar. Each graph node is visited exactly once,
         in reverse topological order; gradients from multiple uses add up.
+        Leaves have nothing to run, so the walk does not enter them.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
+        self.grad = np.ones_like(self.data)
+        if self._backward_fn is None:
+            return
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -133,12 +142,11 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if (parent._backward_fn is not None
+                        and id(parent) not in visited):
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
+            node._backward_fn(node.grad)
 
     # --- arithmetic (broadcasting, numpy rules) ---
 
@@ -146,23 +154,17 @@ class Tensor:
         other = _as_tensor(other)
 
         def backward(g):
-            _accumulate(self, _unbroadcast(g, self.data.shape))
-            _accumulate(other, _unbroadcast(g, other.data.shape))
+            accumulate(self, _unbroadcast(g, self.data.shape))
+            accumulate(other, _unbroadcast(g, other.data.shape))
 
         return Tensor._op(self.data + other.data, (self, other), backward)
-
-    def __neg__(self):
-        def backward(g):
-            _accumulate(self, -g)
-
-        return Tensor._op(-self.data, (self,), backward)
 
     def __sub__(self, other):
         other = _as_tensor(other)
 
         def backward(g):
-            _accumulate(self, _unbroadcast(g, self.data.shape))
-            _accumulate(other, _unbroadcast(-g, other.data.shape))
+            accumulate(self, _unbroadcast(g, self.data.shape))
+            accumulate(other, _unbroadcast(-g, other.data.shape))
 
         return Tensor._op(self.data - other.data, (self, other), backward)
 
@@ -170,23 +172,10 @@ class Tensor:
         other = _as_tensor(other)
 
         def backward(g):
-            _accumulate(self, _unbroadcast(g * other.data, self.data.shape))
-            _accumulate(other, _unbroadcast(g * self.data, other.data.shape))
+            accumulate(self, _unbroadcast(g * other.data, self.data.shape))
+            accumulate(other, _unbroadcast(g * self.data, other.data.shape))
 
         return Tensor._op(self.data * other.data, (self, other), backward)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        other = _as_tensor(other)
-
-        def backward(g):
-            _accumulate(self, _unbroadcast(g / other.data, self.data.shape))
-            _accumulate(other, _unbroadcast(
-                -g * self.data / (other.data * other.data), other.data.shape))
-
-        return Tensor._op(self.data / other.data, (self, other), backward)
 
     def __matmul__(self, other):
         other = _as_tensor(other)
@@ -198,8 +187,8 @@ class Tensor:
                 f"matmul inner dims differ: {self.shape} @ {other.shape}")
 
         def backward(g):
-            _accumulate(self, g @ other.data.T)
-            _accumulate(other, self.data.T @ g)
+            accumulate(self, g @ other.data.T)
+            accumulate(other, self.data.T @ g)
 
         return Tensor._op(self.data @ other.data, (self, other), backward)
 
@@ -207,38 +196,15 @@ class Tensor:
 
     def relu(self):
         def backward(g):
-            _accumulate(self, g * (self.data > 0.0))
+            accumulate(self, g * (self.data > 0.0))
 
         return Tensor._op(np.maximum(self.data, 0.0), (self,), backward)
 
-    def log(self):
-        def backward(g):
-            _accumulate(self, g / self.data)
-
-        return Tensor._op(np.log(self.data), (self,), backward)
-
-    def sqrt(self):
-        y = np.sqrt(self.data)
-
-        def backward(g):
-            _accumulate(self, g * 0.5 / y)
-
-        return Tensor._op(y, (self,), backward)
-
     def abs(self):
         def backward(g):
-            _accumulate(self, g * np.sign(self.data))
+            accumulate(self, g * np.sign(self.data))
 
         return Tensor._op(np.abs(self.data), (self,), backward)
-
-    def clamp_min(self, floor):
-        """Elementwise max(self, floor); gradient passes only above the floor."""
-        floor = float(floor)
-
-        def backward(g):
-            _accumulate(self, g * (self.data > floor))
-
-        return Tensor._op(np.maximum(self.data, floor), (self,), backward)
 
     # --- reductions ---
 
@@ -246,40 +212,10 @@ class Tensor:
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accumulate(self, np.broadcast_to(g, self.data.shape))
+            accumulate(self, np.broadcast_to(g, self.data.shape))
 
         return Tensor._op(self.data.sum(axis=axis, keepdims=keepdims),
                           (self,), backward)
-
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = 1
-            for a in axes:
-                count *= self.data.shape[a]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    # --- shape manipulation ---
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        original = self.data.shape
-
-        def backward(g):
-            _accumulate(self, g.reshape(original))
-
-        return Tensor._op(self.data.reshape(shape), (self,), backward)
-
-    def transpose(self, axes=None):
-        inverse = None if axes is None else tuple(np.argsort(axes))
-
-        def backward(g):
-            _accumulate(self, np.transpose(g, inverse))
-
-        return Tensor._op(np.transpose(self.data, axes), (self,), backward)
 
 
 def softmax_array(x, axis=-1):
@@ -288,69 +224,26 @@ def softmax_array(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax(x, axis=-1):
-    """Numerically stable softmax along ``axis``; slices sum to 1."""
+def softmax_vjp(y, g, axis=-1):
+    """Gradient at the input of ``y = softmax_array(x, axis)``, given the
+    gradient ``g`` at its output."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
+def linear(x, w, b):
+    """Affine map ``x @ w + b`` of the rows of ``x``, as one graph node."""
     x = _as_tensor(x)
-    y = softmax_array(x.data, axis=axis)
+    if x.data.ndim != 2 or w.data.shape[0] != x.data.shape[1]:
+        raise ShapeError(f"linear expects (N, {w.data.shape[0]}) input, "
+                         f"got {x.shape}")
 
     def backward(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(x, y * (g - inner))
+        if x.requires_grad:
+            accumulate(x, g @ w.data.T)
+        accumulate(w, x.data.T @ g)
+        accumulate(b, g.sum(axis=0))
 
-    return Tensor._op(y, (x,), backward)
-
-
-def khatri_rao_mode1(a, b):
-    """Row-wise (mode-1) Khatri-Rao product of two matrices.
-
-    Row i of the result is the row-major flattened outer product of row i
-    of ``a`` (N x p) with row i of ``b`` (N x q), giving N x (p*q).
-    """
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(
-            f"khatri_rao_mode1 expects matrices, got {a.shape} and {b.shape}")
-    if a.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(
-            f"khatri_rao_mode1 row counts differ: {a.shape} vs {b.shape}")
-    n, p = a.data.shape
-    q = b.data.shape[1]
-
-    def backward(g):
-        g = g.reshape(n, p, q)
-        _accumulate(a, (g * b.data[:, None, :]).sum(axis=2))
-        _accumulate(b, (g * a.data[:, :, None]).sum(axis=1))
-
-    data = (a.data[:, :, None] * b.data[:, None, :]).reshape(n, p * q)
-    return Tensor._op(data, (a, b), backward)
-
-
-def contract_last(x, a):
-    """Contract the trailing axis of a 3-d tensor with a matrix.
-
-    result[d, i, k] = sum_j x[d, i, j] * a[j, k]
-    """
-    x = _as_tensor(x)
-    a = _as_tensor(a)
-    if x.data.ndim != 3 or a.data.ndim != 2:
-        raise ShapeError(
-            f"contract_last expects 3-d x and 2-d a, got {x.shape} and {a.shape}")
-    if x.data.shape[-1] != a.data.shape[0]:
-        raise ShapeError(
-            f"contract_last dims differ: {x.shape} vs {a.shape}")
-
-    def backward(g):
-        _accumulate(x, np.matmul(g, a.data.T))
-        _accumulate(a, np.einsum("dij,dik->jk", x.data, g))
-
-    return Tensor._op(np.matmul(x.data, a.data), (x, a), backward)
-
-
-def l2_norm(x, axis=None, keepdims=False):
-    """Euclidean norm along ``axis``, built from differentiable primitives."""
-    x = _as_tensor(x)
-    return ((x * x).sum(axis=axis, keepdims=keepdims)).sqrt()
+    return Tensor._op(x.data @ w.data + b.data, (x, w, b), backward)
 
 
 def layer_norm_rows(x, gamma, beta, eps=1e-6):
@@ -363,36 +256,22 @@ def layer_norm_rows(x, gamma, beta, eps=1e-6):
     x = _as_tensor(x)
     gamma = _as_tensor(gamma)
     beta = _as_tensor(beta)
-    mu = x.data.mean(axis=1, keepdims=True)
+    # sum / width is what ndarray.mean computes, without its Python overhead
+    width = x.data.shape[1]
+    mu = x.data.sum(axis=1, keepdims=True) / width
     centered = x.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = (centered * centered).sum(axis=1, keepdims=True) / width
     inv_std = 1.0 / np.sqrt(var + eps)
     standardized = centered * inv_std
 
     def backward(g):
-        _accumulate(gamma, (g * standardized).sum(axis=0))
-        _accumulate(beta, g.sum(axis=0))
+        accumulate(gamma, (g * standardized).sum(axis=0))
+        accumulate(beta, g.sum(axis=0))
         if x.requires_grad:
             gg = g * gamma.data
-            gg_mean = gg.mean(axis=1, keepdims=True)
-            proj = (gg * standardized).mean(axis=1, keepdims=True)
-            _accumulate(x, inv_std * (gg - gg_mean - standardized * proj))
+            gg_mean = gg.sum(axis=1, keepdims=True) / width
+            proj = (gg * standardized).sum(axis=1, keepdims=True) / width
+            accumulate(x, inv_std * (gg - gg_mean - standardized * proj))
 
     return Tensor._op(standardized * gamma.data + beta.data,
                       (x, gamma, beta), backward)
-
-
-def bmm(a, b):
-    """Batched matrix product of two stacks: (H, n, k) @ (H, k, m)."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise ShapeError(f"bmm expects 3-d stacks, got {a.shape} and {b.shape}")
-    if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[1]:
-        raise ShapeError(f"bmm shapes are incompatible: {a.shape} @ {b.shape}")
-
-    def backward(g):
-        _accumulate(a, np.matmul(g, b.data.swapaxes(1, 2)))
-        _accumulate(b, np.matmul(a.data.swapaxes(1, 2), g))
-
-    return Tensor._op(np.matmul(a.data, b.data), (a, b), backward)

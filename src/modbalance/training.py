@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MODALITIES, batches as make_batches
-from .errors import ConfigError, DivergenceError, check_keys
+from .errors import ConfigError, DivergenceError, check_fields
 from .losses import LossBreakdown, cls_loss, feature_loss, main_loss, modal_loss
 from .metrics import EvalReport, logit_trace
 from .tensor import Tensor, no_grad, softmax_array
@@ -57,7 +57,7 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, payload):
-        check_keys(payload, cls.__dataclass_fields__, "optimizer options")
+        check_fields(payload, cls, "optimizer options")
         return cls(**payload).validate()
 
 

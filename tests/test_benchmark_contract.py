@@ -10,12 +10,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from modbalance import cli
+from modbalance import cli, losses
 from modbalance.feature_weighting import AfwState
-from modbalance.model import ForwardPass
-from modbalance.tensor import Tensor
+from modbalance.model import ForwardPass, Model, ModelConfig
+from modbalance.tensor import Tensor, no_grad
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -82,3 +83,32 @@ def test_cmd_train_returns_report_model_and_result(tmp_path):
     report, model, _ = cli.cmd_train(config)
     assert 0.0 <= report["final"]["weighted_f1"] <= 1.0
     assert callable(model.forward)
+
+
+def test_gradient_and_reload_checks_replay_on_a_tiny_model():
+    """What ``check_gradient`` and ``check_reload`` in benchmark/run.py do
+    with one conversation: a shape change here makes every run exit 1."""
+    model = Model(ModelConfig(hidden=8, layers=1, heads=2, ffn=8),
+                  num_classes=3, dims={"t": 6, "a": 5, "v": 4}, seed=0)
+    rng = np.random.default_rng(1)
+    features = {m: rng.standard_normal((4, d)) for m, d in model.dims.items()}
+    labels = np.array([0, 2, 1, 1])
+
+    out = model.forward(features)
+    assert out.outputs.shape == (4, 3) and out.fused.shape == (4, 3)
+    for maps in (out.afw_state.attention, out.afw_state.mapped):
+        assert set(maps) == {"t", "a", "v"}
+        assert all(isinstance(t, Tensor) and t.shape == (4, 8)
+                   for t in maps.values())
+
+    model.zero_grad()
+    losses.main_loss(
+        losses.cls_loss(out.outputs, labels),
+        losses.feature_loss(out.afw_state.attention, out.afw_state.mapped),
+        losses.modal_loss(out.fused, labels)).backward()
+    for name, p in model.named_parameters().items():
+        assert p.grad is not None and p.grad.shape == p.data.shape, name
+
+    with no_grad():
+        predictions = model.forward(features).predictions()
+    assert np.array_equal(predictions, out.predictions())

@@ -133,6 +133,16 @@ BAD_INPUTS = {
            ("model", "feature_stop_grad", ""),
            ("optim", "noise_estimate", "sample"),
            ("optim", "noise_scale", 0.1)]},
+    **{f"run_config_{option}_of_wrong_type": (
+        lambda tmp_path, section=section, option=option, value=value:
+        train_argv(tmp_path, {section: {option: value}}), option)
+       for section, option, value in [
+           ("model", "hidden", "8"),
+           ("optim", "epochs", "2"),
+           ("model", "dropout", "x"),
+           ("optim", "noise", "yes"),
+           ("model", "layers", True),
+           ("model", "beta", True)]},
 }
 
 

@@ -39,14 +39,14 @@ def test_output_shape_and_dim_check():
 def collect_attention(monkeypatch):
     """Record the attention weights each encoder layer computes."""
     collected = []
-    original = encoder.softmax
+    original = encoder.softmax_array
 
     def recording_softmax(*args, **kwargs):
         weights = original(*args, **kwargs)
         collected.append(weights)
         return weights
 
-    monkeypatch.setattr(encoder, "softmax", recording_softmax)
+    monkeypatch.setattr(encoder, "softmax_array", recording_softmax)
     return collected
 
 
@@ -59,7 +59,7 @@ def test_single_utterance_attends_to_itself(monkeypatch):
     assert len(collected) == 1
     for weights in collected:  # one (heads, n, n) stack per layer
         assert weights.shape == (2, 1, 1)
-        assert np.abs(weights.data - 1.0).max() < 1e-12
+        assert np.abs(weights - 1.0).max() < 1e-12
 
 
 def test_attention_rows_sum_to_one(monkeypatch):
@@ -70,7 +70,7 @@ def test_attention_rows_sum_to_one(monkeypatch):
     assert len(collected) == 2  # one stack per layer
     for weights in collected:
         assert weights.shape == (2, 7, 7)
-        assert np.abs(weights.data.sum(axis=2) - 1.0).max() < 1e-9
+        assert np.abs(weights.sum(axis=2) - 1.0).max() < 1e-9
 
 
 def test_permutation_equivariance_without_positions():
@@ -112,7 +112,47 @@ def test_encoder_gradients_match_finite_differences():
     params = make_params(input_dim=3, seed=8)
     rng = np.random.default_rng(11)
     x = rng.standard_normal((3, 3))
+    r = Tensor(rng.standard_normal((3, 8)))
     names_and_params = list(params.named_parameters("enc"))
     leaves = [p for _, p in names_and_params]
 
-    assert_grad_matches(lambda: encode(x, params).mean(), leaves)
+    assert_grad_matches(lambda: (encode(x, params) * r).sum(), leaves)
+
+
+def attention_oracle(x, block, heads):
+    """Per-head loops in plain numpy."""
+    n, h = x.shape
+    d = h // heads
+    q, k, v = (x @ block[name].data for name in ("wq", "wk", "wv"))
+    mixed = np.zeros((n, h))
+    for head in range(heads):
+        cols = slice(head * d, (head + 1) * d)
+        for i in range(n):
+            scores = np.array([q[i, cols] @ k[j, cols] / np.sqrt(d)
+                               for j in range(n)])
+            weights = np.exp(scores - scores.max())
+            weights /= weights.sum()
+            mixed[i, cols] = sum(weights[j] * v[j, cols] for j in range(n))
+    return mixed @ block["wo"].data + block["bo"].data
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_self_attention_matches_loop_oracle(n):
+    params = make_params(seed=12)
+    block = params.blocks[0]
+    block["bo"].data[:] = np.random.default_rng(13).standard_normal(8)
+    x = np.random.default_rng(14).standard_normal((n, 8))
+    out = encoder._self_attention(Tensor(x), block, heads=2)
+    assert np.abs(out.data - attention_oracle(x, block, 2)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_self_attention_gradients_match_finite_differences(n):
+    params = make_params(seed=15)
+    block = params.blocks[0]
+    rng = np.random.default_rng(16 + n)
+    x = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
+    r = Tensor(rng.standard_normal((n, 8)))
+    leaves = [x] + [block[k] for k in ("wq", "wk", "wv", "wo", "bo")]
+    assert_grad_matches(
+        lambda: (encoder._self_attention(x, block, heads=2) * r).sum(), leaves)

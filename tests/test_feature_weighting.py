@@ -178,6 +178,35 @@ def test_cross_modal_coupling_has_nonzero_gradient():
     assert np.abs(pooled["a"].grad).max() > 0.0
 
 
+@pytest.mark.parametrize("active", [("t",), ("t", "a"), ("t", "a", "v")])
+def test_feature_attention_gradients(active):
+    rng = np.random.default_rng(20 + len(active))
+    theta = Tensor(rng.random((3, 2, 2)), requires_grad=True)
+    pooled = {m: Tensor(rng.random((2, 2)), requires_grad=True)
+              for m in active}
+    out_map = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    r = Tensor(rng.standard_normal((3, 5)))
+    assert_grad_matches(
+        lambda: (feature_attention(theta, pooled, out_map, active) * r).sum(),
+        [theta, out_map, *pooled.values()])
+
+
+def test_coefficient_pool_and_gate_gradients():
+    rng = np.random.default_rng(23)
+    q = Tensor(rng.standard_normal((3, 2, 2)), requires_grad=True)
+    k = Tensor(rng.standard_normal((3, 2, 2)), requires_grad=True)
+    att = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    z = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    r = Tensor(rng.standard_normal((3, 2, 2)))
+    s = Tensor(rng.standard_normal((2, 2)))
+    g = Tensor(rng.standard_normal((3, 4)))
+    assert_grad_matches(
+        lambda: (attention_coefficients(q, k, d_k=4.0) * r).sum()
+        + (pool_attention(attention_coefficients(q, k, d_k=4.0)) * s).sum()
+        + (fuse_features(att, z, beta=0.3) * g).sum(),
+        [q, k, att, z])
+
+
 # --- residual gate ---
 
 def test_fuse_zero_attention_full_residual():
@@ -257,6 +286,28 @@ def test_forward_is_differentiable_end_to_end():
     leaves = [z[m] for m in ("t", "a", "v")]
     leaves += [p for m in ("t", "a", "v")
                for _, p in params[m].named_parameters(m)]
+    assert_grad_matches(build, leaves)
+
+
+@pytest.mark.parametrize("active", [("a",), ("t", "v")])
+def test_forward_on_a_subset_is_differentiable(active):
+    rng = np.random.default_rng(24)
+    params = {m: FeatureWeightParams(hidden=3, rank=2, rng=rng)
+              for m in ("t", "a", "v")}
+    z = {m: Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+         for m in active}
+    r = {m: Tensor(rng.standard_normal((3, 3))) for m in active}
+
+    def build():
+        state = forward(z, params, d_k=4.0, beta=0.5, active=active)
+        total = Tensor(0.0)
+        for m in active:
+            term = (state.balanced[m] + state.mapped[m]) * r[m]
+            total = total + term.sum()
+        return total
+
+    leaves = list(z.values())
+    leaves += [p for m in active for _, p in params[m].named_parameters(m)]
     assert_grad_matches(build, leaves)
 
 

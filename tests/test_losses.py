@@ -13,6 +13,7 @@ from modbalance.losses import (
     main_loss,
     modal_loss,
 )
+from modbalance.model import Model, ModelConfig
 from modbalance.tensor import Tensor
 
 from conftest import assert_grad_matches
@@ -50,6 +51,14 @@ def test_cls_loss_matches_scalar_oracle():
     labels = rng.integers(0, 5, size=7)
     got = cls_loss(Tensor(logits), labels).item()
     assert abs(got - _ce_oracle(logits.tolist(), labels.tolist())) < 1e-10
+
+
+def test_cls_loss_is_finite_for_large_finite_logits():
+    logits = Tensor([[0.0, 800.0]], requires_grad=True)
+    loss = cls_loss(logits, np.array([0]))
+    assert loss.item() == 800.0
+    main_loss(loss, Tensor(0.0), Tensor(0.0)).backward()
+    assert np.array_equal(logits.grad, [[-1.0, 1.0]])
 
 
 def test_cls_loss_rejects_out_of_range_label():
@@ -153,6 +162,56 @@ def test_main_loss_gradient_is_sum_of_term_gradients():
                          modal_loss(x * 0.5, labels))
 
     assert_grad_matches(build, [x])
+
+
+def _sampled_grad_check(model, conv_features, labels, active, entries=2,
+                        h=1e-6, tol=1e-6):
+    """Central differences of one conversation's main_loss at ``entries``
+    seeded entries of every parameter block, against autograd; a block
+    the forward pass does not reach must have a zero difference."""
+    def loss():
+        out = model.forward(conv_features, active=active)
+        if out.afw_state is None:
+            feature_term = Tensor(0.0)
+        else:
+            feature_term = feature_loss(out.afw_state.attention,
+                                        out.afw_state.mapped)
+        return main_loss(cls_loss(out.outputs, labels), feature_term,
+                         modal_loss(out.fused, labels))
+
+    model.zero_grad()
+    loss().backward()
+    rng = np.random.default_rng(0)
+    for name, p in model.named_parameters().items():
+        grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+        flat = p.data.reshape(-1)
+        for i in rng.choice(flat.size, size=min(entries, flat.size),
+                            replace=False):
+            original = flat[i]
+            flat[i] = original + h
+            up = loss().item()
+            flat[i] = original - h
+            down = loss().item()
+            flat[i] = original
+            fd = (up - down) / (2.0 * h)
+            autograd = grad.reshape(-1)[i]
+            err = abs(autograd - fd) / max(1.0, abs(fd))
+            assert err < tol, f"{name}[{i}]: autograd {autograd}, fd {fd}"
+
+
+@pytest.mark.parametrize("variant", ["full", "no_afw", "no_amw", "t,a"])
+def test_main_loss_gradient_matches_finite_differences_on_every_block(variant):
+    config = ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12,
+                         disable_afw=variant == "no_afw",
+                         disable_amw=variant == "no_amw")
+    model = Model(config, num_classes=3, dims={"t": 6, "a": 5, "v": 4},
+                  seed=3)
+    rng = np.random.default_rng(4)
+    features = {m: rng.standard_normal((4, d))
+                for m, d in model.dims.items()}
+    labels = np.array([0, 2, 1, 2])
+    active = ("t", "a") if variant == "t,a" else ("t", "a", "v")
+    _sampled_grad_check(model, features, labels, active)
 
 
 def test_main_loss_names_non_finite_term():

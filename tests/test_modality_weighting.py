@@ -7,6 +7,7 @@ import pytest
 
 from modbalance.errors import ShapeError
 from modbalance.modality_weighting import (
+    NORM_FLOOR,
     ClassifierParams,
     FusionHead,
     classify,
@@ -90,10 +91,35 @@ def test_zero_norm_row_floors_and_warns(caplog):
     head = make_head()
     features = random_features(rng)
     features["a"].data[2, :] = 0.0
+    features["a"].requires_grad = True
     with caplog.at_level(logging.WARNING, logger="modbalance.modality_weighting"):
         logits, _ = fuse_modalities(features, head)
     assert "zero-norm" in caplog.text
     assert np.isfinite(logits.data).all()
+    weights = rng.standard_normal(logits.shape)
+    (logits * Tensor(weights)).sum().backward()
+    assert np.isfinite(features["a"].grad).all()
+    # the floored row is divided by a constant: its gradient is g_zn / floor
+    w = head.weights["a"].data
+    g_zn = weights[2] @ (w / np.linalg.norm(w, axis=0)).T
+    assert np.abs(features["a"].grad[2] - g_zn / NORM_FLOOR).max() \
+        <= 1e-12 * np.abs(g_zn / NORM_FLOOR).max()
+
+
+def test_fusion_gradients_with_floored_rows_match_finite_differences():
+    rng = np.random.default_rng(17)
+    head = make_head(hidden=3, num_classes=2)
+    head.weights["v"].data[:, 1] = 0.0  # a floored weight column
+    features = {m: Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+                for m in MODS}
+    features["a"].data[1, :] = 0.0  # a floored feature row
+    r = Tensor(rng.standard_normal((3, 2)))
+    # every leaf but the two floored vectors, which finite differences
+    # would lift off the floor
+    leaves = [features["t"], features["v"], head.weights["t"],
+              head.weights["a"], head.bias]
+    assert_grad_matches(
+        lambda: (fuse_modalities(features, head)[0] * r).sum(), leaves)
 
 
 def test_unnormalized_variant_is_plain_linear():
