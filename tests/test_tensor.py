@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from modbalance.errors import ShapeError
-from modbalance.feature_weighting import feature_attention, make_cores
+from modbalance.feature_weighting import (
+    feature_attention,
+    make_cores,
+    pool_attention,
+)
 from modbalance.losses import cls_loss
 from modbalance.tensor import (
     Tensor,
@@ -238,12 +242,16 @@ def test_grad_abs_away_from_zero():
     assert_grad_matches(lambda: a.abs().sum(), [a])
 
 
-def test_grad_sum_axis():
+def test_grad_sum_axis_and_mean():
     rng = np.random.default_rng(20)
     a = _leaf(rng, (3, 4, 2))
     r = Tensor(rng.standard_normal((3, 2)))
     assert_grad_matches(lambda: (a.sum(axis=1) * r).sum(), [a])
     assert_grad_matches(lambda: (a.sum(axis=(0, 2)) * 2.0).sum(), [a])
+    # the package's one mean, over the leading axis, is the pool_attention node
+    q = Tensor(rng.standard_normal((4, 2)))
+    assert np.abs(pool_attention(a).data - a.data.mean(axis=0)).max() < 1e-15
+    assert_grad_matches(lambda: (pool_attention(a) * q).sum(), [a])
 
 
 def test_grad_softmax():
