@@ -13,6 +13,7 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError
+from .files import replacing
 
 MAGIC = b"MBCK0001"
 
@@ -31,7 +32,7 @@ def save_checkpoint(path, tensors, meta=None):
         offset += len(chunk)
     header = json.dumps({"meta": meta or {}, "tensors": entries},
                         sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)

@@ -1,9 +1,10 @@
 """Command-line entry points: gen-data, train, eval, ablate.
 
 A run is described by a flat JSON config with sections {data, model,
-optim, ablation, output} plus a top-level modality subset. All randomness
-flows from the config seeds; identical configs produce byte-identical
-traces and checkpoints.
+optim, output} plus a top-level modality subset; the ablation flags are
+``model.disable_afw``, ``model.disable_amw`` and ``optim.disable_modulation``.
+All randomness flows from the config seeds; identical configs produce
+byte-identical traces and checkpoints. Outputs are replaced atomically.
 """
 
 import argparse
@@ -15,7 +16,8 @@ from pathlib import Path
 
 from . import dataset
 from .dataset import MODALITIES
-from .errors import ConfigError, DivergenceError, ModBalanceError, check_keys
+from .errors import ConfigError, ModBalanceError, check_keys
+from .files import replacing
 from .model import Model, ModelConfig
 from .training import OptimizerConfig, TRACE_HEADER, evaluate, train
 
@@ -50,7 +52,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload):
-        check_keys(payload, ("data", "model", "optim", "ablation", "output",
+        check_keys(payload, ("data", "model", "optim", "output",
                              "modalities"), "config sections")
         config = cls()
         data_section = payload.get("data", {})
@@ -60,13 +62,6 @@ class RunConfig:
             config.synth = dataset.SynthSpec.from_dict(data_section["synth"])
         config.model = ModelConfig.from_dict(payload.get("model", {}))
         config.optim = OptimizerConfig.from_dict(payload.get("optim", {}))
-        ablation = payload.get("ablation", {})
-        check_keys(ablation, ("disable_afw", "disable_amw",
-                              "disable_modulation"), "ablation flags")
-        config.model.disable_afw = bool(ablation.get("disable_afw", False))
-        config.model.disable_amw = bool(ablation.get("disable_amw", False))
-        config.optim.disable_modulation = bool(
-            ablation.get("disable_modulation", False))
         if "modalities" in payload:
             config.modalities = parse_modalities(payload["modalities"])
         output = payload.get("output", {})
@@ -95,12 +90,21 @@ def read_json(path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def write_traces(path, traces):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_csv(path, header, rows):
+    with replacing(path) as tmp, \
+            open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for trace in traces:
-            writer.writerow(trace.csv_row())
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_traces(path, traces):
+    write_csv(path, TRACE_HEADER, (trace.csv_row() for trace in traces))
+
+
+def write_report(path, report):
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
 
 
 def cmd_gen_data(spec_path, out_path):
@@ -130,10 +134,8 @@ def cmd_train(config):
         result = train(model, train_convs, config.optim,
                        active=config.modalities, eval_data=holdout,
                        trace_sink=traces)
-    except DivergenceError:
-        write_traces(out_dir / "traces.csv", traces)  # keep partial traces
-        raise
-    write_traces(out_dir / "traces.csv", traces)
+    finally:  # a run that fails keeps its partial traces
+        write_traces(out_dir / "traces.csv", traces)
     model.save(out_dir / "checkpoint.bin")
     holdout_data = dataset.Dataset(num_classes=data.num_classes,
                                    dims=data.dims, conversations=holdout)
@@ -146,8 +148,7 @@ def cmd_train(config):
         "best_weighted_f1": result.best_weighted_f1,
         "modalities": list(config.modalities),
     }
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    write_report(out_dir / "report.json", report)
     print(f"trained {config.optim.epochs} epochs: "
           f"holdout acc {final.accuracy:.4f}, wf1 {final.weighted_f1:.4f}")
     return report, model, result
@@ -168,8 +169,7 @@ def cmd_eval(checkpoint_path, data_path, modalities=MODALITIES, out_dir=None):
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        write_report(out_dir / "report.json", payload)
     print(f"eval {','.join(modalities)}: acc {report.accuracy:.4f}, "
           f"wf1 {report.weighted_f1:.4f}")
     return payload
@@ -177,11 +177,9 @@ def cmd_eval(checkpoint_path, data_path, modalities=MODALITIES, out_dir=None):
 
 def _variant_config(config, variant, out_root):
     assert variant in ABLATION_VARIANTS
-    model = replace(config.model)
-    optim = replace(config.optim)
-    model.disable_afw = variant == "no_afw"
-    model.disable_amw = variant == "no_amw"
-    optim.disable_modulation = variant == "no_modulation"
+    model = replace(config.model, disable_afw=variant == "no_afw",
+                    disable_amw=variant == "no_amw")
+    optim = replace(config.optim, disable_modulation=variant == "no_modulation")
     return replace(config, model=model, optim=optim,
                    output_dir=str(Path(out_root) / variant))
 
@@ -202,10 +200,8 @@ def cmd_ablate(config):
         rows.append([variant, repr(wf1), repr(acc),
                      repr(full_wf1 - wf1), repr(full_acc - acc)])
     table_path = out_root / "ablation.csv"
-    with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "wf1", "acc", "delta_wf1", "delta_acc"])
-        writer.writerows(rows)
+    write_csv(table_path, ["variant", "wf1", "acc", "delta_wf1", "delta_acc"],
+              rows)
     print(f"wrote {table_path}")
     return results
 

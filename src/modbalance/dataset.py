@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetError, check_keys
+from .files import replacing
 
 MODALITIES = ("t", "a", "v")
 
@@ -193,7 +194,7 @@ def dumps(dataset):
 
 
 def save(dataset, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(dumps(dataset))
 
 

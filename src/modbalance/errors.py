@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import dataclasses
+import math
 
 
 class ModBalanceError(Exception):
@@ -38,8 +39,8 @@ def check_keys(payload, known, what):
 
 def check_fields(payload, cls, what):
     """``check_keys`` against the fields of dataclass ``cls``, then raise
-    ConfigError naming the first value whose type is not its field's. A
-    bool is not a number; an int is a valid float."""
+    ConfigError naming the first value not of its field's type or, for a
+    float, not finite. A bool is not a number; an int is a valid float."""
     check_keys(payload, cls.__dataclass_fields__, what)
     for f in dataclasses.fields(cls):
         if f.name not in payload:
@@ -50,3 +51,5 @@ def check_fields(payload, cls, what):
                 or isinstance(value, bool) != (f.type is bool)):
             raise ConfigError(
                 f"{what}: {f.name} must be {f.type.__name__}, got {value!r}")
+        if f.type is float and not math.isfinite(value):
+            raise ConfigError(f"{what}: {f.name} must be finite, got {value!r}")

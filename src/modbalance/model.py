@@ -1,11 +1,13 @@
 """The assembled model: encoders, feature weighting, fusion, classifier.
 
-One ``Model`` owns every parameter block. Encoder parameters are kept under
-per-modality name prefixes because the balance optimizer treats them
-differently from everything else (they alone receive modulated, optionally
-noisy updates). The forward pass works for any nonempty modality subset:
-excluded modalities simply drop out of the contraction chain, the fusion
-sum, and the modality count.
+One ``Model`` owns every parameter block, held in registry order in one
+flat float64 vector ``theta``; their gradients fill a second vector
+``grad``. Each block's ``data`` and ``grad`` are views of its slice. Each
+modality's encoder blocks form one slice (``encoder_spans``) because the
+balance optimizer treats them differently from everything else (they alone
+receive modulated, optionally noisy updates). The forward pass works for
+any nonempty modality subset: excluded modalities simply drop out of the
+contraction chain, the fusion sum, and the modality count.
 """
 
 from dataclasses import dataclass
@@ -117,6 +119,9 @@ class Model:
     # --- parameter registry ---
 
     def _build_registry(self):
+        """Name -> block, encoders first; copies the blocks into ``theta``
+        and makes each ``data`` and ``grad`` a view of its slice of
+        ``theta`` and ``grad`` (rebinding one later would detach it)."""
         params = {}
         for m in MODALITIES:
             params.update(self.encoders[m].named_parameters(f"encoder.{m}"))
@@ -124,19 +129,25 @@ class Model:
             params.update(self.afw_params[m].named_parameters(f"afw.{m}"))
         params.update(self.head.named_parameters("head"))
         params.update(self.classifier.named_parameters("classifier"))
+        blocks = list(params.values())
+        self.offsets = np.cumsum([0] + [p.data.size for p in blocks])
+        self.theta = np.concatenate([p.data.ravel() for p in blocks])
+        self.grad = np.zeros_like(self.theta)
+        for p, start, stop in zip(blocks, self.offsets, self.offsets[1:]):
+            p.data = self.theta[start:stop].reshape(p.data.shape)
+            p.grad = self.grad[start:stop].reshape(p.data.shape)
+        sizes = [sum(p.data.size for _, p in self.encoders[m].named_parameters(m))
+                 for m in MODALITIES]
+        self.encoder_spans = {m: slice(int(stop) - size, int(stop)) for m, size,
+                              stop in zip(MODALITIES, sizes, np.cumsum(sizes))}
         return params
 
     def named_parameters(self):
         """Fixed-order name -> Tensor mapping over every parameter block."""
         return dict(self._registry)
 
-    def encoder_parameter_names(self, m):
-        prefix = f"encoder.{m}."
-        return [name for name in self.named_parameters() if name.startswith(prefix)]
-
     def zero_grad(self):
-        for p in self._registry.values():
-            p.grad = None
+        self.grad.fill(0.0)
 
     # --- forward ---
 
@@ -207,5 +218,5 @@ class Model:
                 raise CheckpointError(
                     f"{path}: {name} has shape {arrays[name].shape}, "
                     f"expected {p.data.shape}")
-            p.data = arrays[name]
+            p.data[...] = arrays[name]
         return model

@@ -1,13 +1,15 @@
 """Balance-aware training: scores, discrepancy ratios, modulated updates.
 
-Each step accumulates per-conversation gradients, measures how well every
+Each step sums per-conversation gradients, measures how well every
 modality alone explains the batch (softmax of its cosine logits at the
 true class, summed over utterances), and converts the spread of those
 scores into discrepancy ratios. Modalities that outperform the weakest one
 get their encoder updates damped by 1 - tanh(alpha * ratio), optionally
 with zero-mean Gaussian noise whose per-parameter scale is estimated from
 the gradient spread inside the minibatch. All non-encoder parameters take
-plain SGD steps.
+plain SGD steps. All of it is vector arithmetic on the model's flat
+``theta`` and ``grad`` and their per-modality ``encoder_spans``, never a
+loop over parameter blocks.
 """
 
 import logging
@@ -130,22 +132,27 @@ def modulation_coefficient(ratios, alpha):
     }
 
 
-def apply_update(params, grads, eta, k=1.0, noise_std=None, rng=None):
-    """SGD step on a named block: theta <- theta - eta*g*k + eta*noise.
+def apply_update(model, grads, eta, k=None, noise_std=None, rng=None):
+    """SGD step on ``model.theta``: theta <- theta - eta*g*k + eta*noise.
 
-    ``noise_std`` maps names to per-parameter standard deviations; when
-    given, zero-mean Gaussian noise scaled by eta is added after the
-    modulated step. With k=1 and no noise this is bit-identical to
-    vanilla SGD.
+    ``k`` maps modalities to the coefficient of their encoder span, and
+    ``noise_std`` (optional) to per-parameter standard deviations there,
+    drawn in the order of ``k``; all else takes plain SGD steps. With k=1
+    and no noise this is bit-identical to vanilla SGD.
     """
-    for name, p in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite gradient in {name}")
-        step = eta * g * k
+    bad = np.flatnonzero(~np.isfinite(grads))
+    if bad.size:  # name the block through the registry offsets
+        block = np.searchsorted(model.offsets, bad[0], "right") - 1
+        raise DivergenceError(f"non-finite gradient in "
+                              f"{list(model.named_parameters())[block]}")
+    step = eta * grads
+    for m, k_m in (k or {}).items():
+        span = model.encoder_spans[m]
+        step[span] *= k_m
         if noise_std is not None:
-            step = step - eta * (rng.standard_normal(g.shape) * noise_std[name])
-        p.data = p.data - step
+            step[span] -= eta * (rng.standard_normal(span.stop - span.start)
+                                 * noise_std[m])
+    model.theta -= step
 
 
 def _conversation_losses(model, conv, active, dropout_rng):
@@ -158,7 +165,7 @@ def _conversation_losses(model, conv, active, dropout_rng):
                                     out.afw_state.mapped)
     modal_term = modal_loss(out.fused, conv.labels)
     total = main_loss(cls_term, feature_term, modal_term)
-    return out, total, cls_term.item(), feature_term.item(), modal_term.item()
+    return out, total, (cls_term.item(), feature_term.item(), modal_term.item())
 
 
 def evaluate(model, conversations, active=MODALITIES):
@@ -186,23 +193,14 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
     """
     config.validate()
     active = tuple(active)
-    params = model.named_parameters()
-    encoder_blocks = {
-        m: {name: params[name] for name in model.encoder_parameter_names(m)}
-        for m in active
-    }
-    modulated = set()
-    for block in encoder_blocks.values():
-        if modulated & set(block):
-            raise ConfigError("encoder parameter blocks overlap")
-        modulated |= set(block)
-    plain = {name: p for name, p in params.items() if name not in modulated}
-    assert set(plain) | modulated == set(params)
-
     noise_rng = np.random.default_rng(config.seed + 7919)
     dropout_rng = (np.random.default_rng(config.seed + 104729)
                    if model.config.dropout > 0.0 else None)
     use_noise = config.noise and not config.disable_modulation
+    spans = {m: model.encoder_spans[m] for m in active}
+    # once per call: a fresh matrix per step would keep two alive at a time
+    rows = {m: np.empty((config.batch_size, model.grad[s].size))
+            for m, s in spans.items()} if use_noise else {}
 
     traces = trace_sink if trace_sink is not None else []
     result = TrainResult(traces=traces, eval_history=[])
@@ -211,36 +209,24 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
         for batch in make_batches(conversations, config.batch_size,
                                   seed=config.seed + epoch):
             step += 1
-            grad_sum = {name: np.zeros_like(p.data) for name, p in params.items()}
-            zero_cache = {}
-            per_conv_grads = [] if use_noise else None
+            grad_sum = np.zeros_like(model.grad)
             score_logits = {m: [] for m in active}
-            labels = []
-            cls_parts, feature_parts, modal_parts = [], [], []
-            for conv in batch:
+            labels, parts = [], []
+            for i, conv in enumerate(batch):
                 model.zero_grad()
-                out, total, cls_v, feat_v, modal_v = _conversation_losses(
+                out, total, terms = _conversation_losses(
                     model, conv, active, dropout_rng)
                 total.backward()
-                conv_grads = {}
-                for name, p in params.items():
-                    g = p.grad
-                    if g is None:  # parameter not touched by this subset
-                        g = zero_cache.setdefault(name, np.zeros_like(p.data))
-                    grad_sum[name] += g
-                    if per_conv_grads is not None and name in modulated:
-                        conv_grads[name] = g.copy()
-                if per_conv_grads is not None:
-                    per_conv_grads.append(conv_grads)
+                grad_sum += model.grad
+                for m, r in rows.items():
+                    r[i] = model.grad[spans[m]]
                 for m in active:
                     score_logits[m].append(out.score_logits(m, model.head.bias.data))
                 labels.append(conv.labels)
-                cls_parts.append(cls_v)
-                feature_parts.append(feat_v)
-                modal_parts.append(modal_v)
+                parts.append(terms)
 
             batch_size = len(batch)
-            grads = {name: g / batch_size for name, g in grad_sum.items()}
+            grads = grad_sum / batch_size
 
             all_labels = np.concatenate(labels)
             stacked = {m: np.concatenate(score_logits[m]) for m in active}
@@ -251,22 +237,13 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
             else:
                 coefficients = modulation_coefficient(ratios, config.alpha)
 
-            noise_std = None
-            if use_noise:
-                noise_std = _noise_std(per_conv_grads, grads, modulated)
-
-            for m in active:
-                block = encoder_blocks[m]
-                apply_update(
-                    block, grads, config.learning_rate, k=coefficients[m],
-                    noise_std=({n: noise_std[n] for n in block}
-                               if noise_std is not None else None),
-                    rng=noise_rng)
-            apply_update(plain, grads, config.learning_rate)
+            noise_std = (_noise_std({m: r[:batch_size] for m, r in rows.items()})
+                         if use_noise else None)
+            apply_update(model, grads, config.learning_rate, k=coefficients,
+                         noise_std=noise_std, rng=noise_rng)
 
             losses = LossBreakdown.from_parts(
-                float(np.mean(cls_parts)), float(np.mean(feature_parts)),
-                float(np.mean(modal_parts)))
+                *(float(np.mean(terms)) for terms in zip(*parts)))
             norms = model.weight_norms(active=active).mean(axis=1)
             traces.append(StepTrace(
                 epoch=epoch, step=step, losses=losses,
@@ -286,21 +263,16 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
     return result
 
 
-def _noise_std(per_conv_grads, grads, modulated):
-    """Per-parameter noise scale for the modulated encoder blocks.
+def _noise_std(rows):
+    """Per-parameter noise scale for each modulated encoder span.
 
-    The diagonal std of the minibatch mean gradient, i.e. the sample
-    standard deviation of each parameter's gradient across the
-    conversations of the minibatch divided by sqrt(batch size); this
-    matches the sampling noise the SGD estimate already carries. A batch
-    of one conversation gets zero noise.
+    ``rows`` maps modalities to (B, P_m) matrices of per-conversation
+    encoder gradients. The scale is the diagonal std of the minibatch mean
+    gradient, i.e. the sample standard deviation of each parameter's
+    gradient across the conversations divided by sqrt(B); this matches the
+    sampling noise the SGD estimate already carries. A batch of one
+    conversation gets zero noise.
     """
-    std = {}
-    count = len(per_conv_grads)
-    for name in modulated:
-        if count > 1:
-            stack = np.stack([g[name] for g in per_conv_grads])
-            std[name] = stack.std(axis=0, ddof=1) / np.sqrt(count)
-        else:
-            std[name] = np.zeros_like(grads[name])
-    return std
+    return {m: (r.std(axis=0, ddof=1) / np.sqrt(len(r)) if len(r) > 1
+                else np.zeros(r.shape[1]))
+            for m, r in rows.items()}

@@ -29,7 +29,7 @@ def assert_grad_matches(build, params, h=1e-5, tol=1e-4):
     Relative error |ad - fd| / max(1, |fd|) below ``tol`` elementwise.
     """
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss = build()
     loss.backward()
     for p in params:

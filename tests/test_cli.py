@@ -72,7 +72,7 @@ def train_argv(tmp_path, sections):
     config = {"data": {"synth": SPEC}, "model": MODEL, "optim": {"epochs": 1},
               "output": {"dir": str(tmp_path / "out")}}
     for name, section in sections.items():
-        config[name] = ({**config[name], **section}
+        config[name] = ({**config.get(name, {}), **section}
                         if isinstance(section, dict) else section)
     return ["train", "--config", write_json(tmp_path / "run.json", config)]
 
@@ -143,6 +143,15 @@ BAD_INPUTS = {
            ("optim", "noise", "yes"),
            ("model", "layers", True),
            ("model", "beta", True)]},
+    **{f"run_config_{option}_not_finite": (
+        lambda tmp_path, section=section, option=option, value=value:
+        train_argv(tmp_path, {section: {option: value}}), option)
+       for section, option, value in [
+           ("optim", "learning_rate", float("nan")),
+           ("optim", "alpha", float("inf")),
+           ("model", "d_k", float("nan"))]},
+    "run_config_ablation_section": (lambda tmp_path: train_argv(
+        tmp_path, {"ablation": {"disable_afw": True}}), "ablation"),
 }
 
 
@@ -157,3 +166,30 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, case):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert culprit in lines[0]
+
+
+def test_ablation_flags_are_options_of_their_sections():
+    config = cli.RunConfig.from_dict({
+        "model": {"disable_afw": True, "disable_amw": True},
+        "optim": {"disable_modulation": True}})
+    assert config.model.disable_afw and config.model.disable_amw
+    assert config.optim.disable_modulation
+
+
+class TraceRow:
+    def __init__(self, fails):
+        self.fails = fails
+
+    def csv_row(self):
+        if self.fails:
+            raise RuntimeError("writer failed")
+        return ["1"] * 18
+
+
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "traces.csv"
+    path.write_text("previous\n")
+    with pytest.raises(RuntimeError, match="writer failed"):
+        cli.write_traces(path, [TraceRow(False), TraceRow(True)])
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["traces.csv"]

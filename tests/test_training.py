@@ -32,6 +32,10 @@ def tiny_model(seed=0, **overrides):
     return Model(config, num_classes=3, dims=dims, seed=seed)
 
 
+def encoder_block_names(model, m):
+    return [n for n in model.named_parameters() if n.startswith(f"encoder.{m}.")]
+
+
 def tiny_data(seed=0, conversations=6):
     spec = SynthSpec(num_classes=3, dims={"t": 6, "a": 5, "v": 4},
                      gamma={"t": 1.0, "a": 1.0, "v": 1.0}, noise_sigma=0.4,
@@ -120,46 +124,82 @@ def test_modulation_in_unit_interval():
 # --- apply_update ---
 
 def test_update_reduces_to_vanilla_sgd():
-    rng = np.random.default_rng(3)
-    p = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    g = rng.standard_normal((3, 4))
-    expected = p.data - 0.1 * g
-    apply_update({"p": p}, {"p": g}, eta=0.1, k=1.0)
-    assert np.array_equal(p.data, expected)
+    model = tiny_model(seed=3)
+    g = np.random.default_rng(3).standard_normal(model.theta.size)
+    expected = model.theta - 0.1 * g
+    apply_update(model, g, eta=0.1, k={m: 1.0 for m in MODS})
+    assert np.array_equal(model.theta, expected)
 
 
 def test_update_halves_step_with_half_coefficient():
-    rng = np.random.default_rng(4)
-    start = rng.standard_normal((3, 4))
-    g = rng.standard_normal((3, 4))
-    full = Tensor(start.copy(), requires_grad=True)
-    half = Tensor(start.copy(), requires_grad=True)
-    apply_update({"p": full}, {"p": g}, eta=0.1, k=1.0)
-    apply_update({"p": half}, {"p": g}, eta=0.1, k=0.5)
+    full, half = tiny_model(seed=4), tiny_model(seed=4)
+    start = full.theta.copy()
+    g = np.random.default_rng(4).standard_normal(start.size)
+    apply_update(full, g, eta=0.1, k={"t": 1.0})
+    apply_update(half, g, eta=0.1, k={"t": 0.5})
     step = 0.1 * g  # multiplying the step by 0.5 is exact in binary
-    assert np.array_equal(full.data, start - step)
-    assert np.array_equal(half.data, start - step * 0.5)
+    span = half.encoder_spans["t"]
+    expected = start - step
+    expected[span] = start[span] - step[span] * 0.5
+    assert np.array_equal(full.theta, start - step)
+    assert np.array_equal(half.theta, expected)
 
 
 def test_update_noise_is_seed_reproducible():
-    rng = np.random.default_rng(5)
-    start = rng.standard_normal((3, 4))
-    g = rng.standard_normal((3, 4))
-    std = np.abs(g) * 0.1
     results = []
     for _ in range(2):
-        p = Tensor(start.copy(), requires_grad=True)
-        apply_update({"p": p}, {"p": g}, eta=0.1, k=0.8,
-                     noise_std={"p": std}, rng=np.random.default_rng(11))
-        results.append(p.data.copy())
+        model = tiny_model(seed=5)
+        g = np.random.default_rng(5).standard_normal(model.theta.size)
+        std = {m: np.abs(g[s]) * 0.1 for m, s in model.encoder_spans.items()}
+        apply_update(model, g, eta=0.1, k={m: 0.8 for m in MODS},
+                     noise_std=std, rng=np.random.default_rng(11))
+        results.append(model.theta.copy())
     assert np.array_equal(results[0], results[1])
 
 
 def test_update_rejects_non_finite_gradient():
-    p = Tensor(np.zeros((2, 2)), requires_grad=True)
-    g = np.array([[1.0, float("nan")], [0.0, 0.0]])
-    with pytest.raises(DivergenceError, match="encoder.t"):
-        apply_update({"encoder.t.w": p}, {"encoder.t.w": g}, eta=0.1)
+    model = tiny_model()
+    names = list(model.named_parameters())
+    g = np.zeros_like(model.theta)
+    for name in ("encoder.t.block0.w1", "classifier.w2"):
+        g[model.offsets[names.index(name)] + 1] = float("nan")
+    start = model.theta.copy()
+    with pytest.raises(DivergenceError, match="encoder.t.block0.w1"):
+        apply_update(model, g, eta=0.1)
+    assert np.array_equal(model.theta, start)
+
+
+def test_one_noise_draw_equals_block_by_block_draws():
+    model = tiny_model()
+    span = model.encoder_spans["t"]
+    whole = np.random.default_rng(11).standard_normal(span.stop - span.start)
+    rng = np.random.default_rng(11)
+    params = model.named_parameters()
+    blocks = [rng.standard_normal(params[n].shape).ravel()
+              for n in encoder_block_names(model, "t")]
+    assert np.array_equal(whole, np.concatenate(blocks))
+
+
+def assert_blocks_are_views(model):
+    params = model.named_parameters()
+    for name, p in params.items():
+        assert np.shares_memory(p.data, model.theta), name
+        assert np.shares_memory(p.grad, model.grad), name
+    for m, span in model.encoder_spans.items():
+        blocks = [params[n].data.ravel() for n in encoder_block_names(model, m)]
+        assert np.array_equal(model.theta[span], np.concatenate(blocks)), m
+
+
+def test_parameter_blocks_stay_views_of_the_flat_vectors(tmp_path):
+    model = tiny_model(seed=16)
+    assert_blocks_are_views(model)
+    train(model, tiny_data(conversations=2),
+          OptimizerConfig(learning_rate=0.1, epochs=1, batch_size=2, seed=1))
+    assert_blocks_are_views(model)
+    model.save(tmp_path / "model.bin")
+    back = Model.load(tmp_path / "model.bin")
+    assert_blocks_are_views(back)
+    assert np.array_equal(back.theta, model.theta)
 
 
 # --- config ---
@@ -225,7 +265,7 @@ def test_modulation_never_touches_non_encoder_parameters():
     params_plain = model_plain.named_parameters()
     encoder_names = set()
     for m in MODS:
-        encoder_names |= set(model_mod.encoder_parameter_names(m))
+        encoder_names |= set(encoder_block_names(model_mod, m))
     diff_outside_encoders = [
         name for name in params_mod
         if name not in encoder_names
@@ -270,6 +310,44 @@ def test_disable_modulation_matches_reference_sgd_bitwise():
         assert np.array_equal(p.data, trained[name].data), name
 
 
+def test_noisy_step_matches_per_block_reference():
+    # the vector update against a loop over blocks: per-block gradient sums,
+    # stacked per-conversation gradients and one noise draw per block
+    data = tiny_data(conversations=3)
+    config = OptimizerConfig(learning_rate=0.1, epochs=1, batch_size=3,
+                             noise=True, alpha=2.0, seed=2)
+    model = tiny_model(seed=17)
+    coefficients = train(model, data, config).traces[0].balance.coefficients
+
+    reference = tiny_model(seed=17)
+    params = reference.named_parameters()
+    per_conv = []
+    for conv in batches(data, config.batch_size, seed=config.seed + 1)[0]:
+        reference.zero_grad()
+        out = reference.forward(conv.features)
+        main_loss(cls_loss(out.outputs, conv.labels),
+                  feature_loss(out.afw_state.attention, out.afw_state.mapped),
+                  modal_loss(out.fused, conv.labels)).backward()
+        per_conv.append({n: p.grad.copy() for n, p in params.items()})
+    rng = np.random.default_rng(config.seed + 7919)
+    modulated = {n: m for m in MODS for n in encoder_block_names(reference, m)}
+    for name, p in params.items():  # encoder blocks come first, t, a, v
+        total = np.zeros_like(p.data)
+        for grads in per_conv:
+            total += grads[name]
+        step = config.learning_rate * (total / len(per_conv))
+        if name in modulated:
+            stack = np.stack([grads[name] for grads in per_conv])
+            std = stack.std(axis=0, ddof=1) / np.sqrt(len(per_conv))
+            step = step * coefficients[modulated[name]]
+            step = step - config.learning_rate * (
+                rng.standard_normal(p.data.shape) * std)
+        p.data[...] = p.data - step
+
+    assert min(coefficients.values()) < 1.0
+    assert np.array_equal(reference.theta, model.theta)
+
+
 def test_training_is_deterministic_with_noise():
     data = tiny_data(conversations=5)
     config = OptimizerConfig(learning_rate=0.1, epochs=2, batch_size=2,
@@ -295,10 +373,10 @@ def test_training_on_modality_subset_leaves_excluded_encoder_frozen():
     before = {n: p.data.copy() for n, p in model.named_parameters().items()}
     train(model, data, config, active=("t", "a"))
     after = model.named_parameters()
-    for name in model.encoder_parameter_names("v"):
+    for name in encoder_block_names(model, "v"):
         assert np.array_equal(before[name], after[name].data)
     assert any(not np.array_equal(before[n], after[n].data)
-               for n in model.encoder_parameter_names("t"))
+               for n in encoder_block_names(model, "t"))
     # visual columns of the fusion head got no gradient either
     assert np.array_equal(before["head.v.w"], after["head.v.w"].data)
 
