@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetError, check_keys
+from .errors import DatasetError, check_keys, check_value
 from .files import replacing
 
 MODALITIES = ("t", "a", "v")
@@ -105,30 +105,33 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, payload):
-        check_keys(payload, cls.__dataclass_fields__, "synthetic spec options")
-        spec = cls()
-        try:
-            if "num_classes" in payload:
-                spec.num_classes = int(payload["num_classes"])
-            if "dims" in payload:
-                check_keys(payload["dims"], MODALITIES, "dims modalities")
-                spec.dims = {m: int(payload["dims"][m]) for m in payload["dims"]}
-            if "gamma" in payload:
-                check_keys(payload["gamma"], MODALITIES, "gamma modalities")
-                spec.gamma = {m: float(payload["gamma"][m])
-                              for m in payload["gamma"]}
-            if "noise_sigma" in payload:
-                spec.noise_sigma = float(payload["noise_sigma"])
-            if "conversations" in payload:
-                spec.conversations = int(payload["conversations"])
-            if "utterances" in payload:
-                lo, hi = payload["utterances"]
-                spec.utterances = (int(lo), int(hi))
-            if "seed" in payload:
-                spec.seed = int(payload["seed"])
-        except (TypeError, ValueError) as exc:
-            raise DatasetError(f"synthetic spec has a bad value: {exc}") from exc
-        return spec.validate()
+        """Spec from a JSON object; a value of the wrong type, or a
+        non-finite float, is a ConfigError naming the option."""
+        what = "synthetic spec options"
+        check_keys(payload, cls.__dataclass_fields__, what)
+        options = {}
+        for name, kind in (("num_classes", int), ("noise_sigma", float),
+                           ("conversations", int), ("seed", int)):
+            if name in payload:
+                check_value(payload[name], kind, f"{what}: {name}")
+                options[name] = kind(payload[name])
+        for name, kind in (("dims", int), ("gamma", float)):
+            if name in payload:
+                check_keys(payload[name], MODALITIES, f"{name} modalities")
+                for m, value in payload[name].items():
+                    check_value(value, kind, f"{what}: {name}.{m}")
+                options[name] = {m: kind(value)
+                                 for m, value in payload[name].items()}
+        if "utterances" in payload:
+            bounds = payload["utterances"]
+            if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+                raise DatasetError(
+                    f"synthetic spec has a bad value: utterances must be "
+                    f"[min, max], got {bounds!r}")
+            for value in bounds:
+                check_value(value, int, f"{what}: utterances")
+            options["utterances"] = tuple(bounds)
+        return cls(**options).validate()
 
 
 def _draw_prototypes(rng, spec):

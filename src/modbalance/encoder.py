@@ -8,7 +8,13 @@ cleanly separable from the fusion parameters.
 
 Multi-head self-attention is one graph node with a hand-written backward,
 and each projection is one ``linear`` node, so a layer adds eight nodes to
-the graph whatever the number of heads.
+the graph whatever the number of heads. On a pack of conversations
+(``tensor.Segments``) every node but self-attention works on the rows
+alone; self-attention projects the whole pack in one matmul and attends
+within each conversation. Each node can write each conversation's
+gradient of its parameters into that conversation's row of
+``segments.grads``, which is how training gets the per-conversation
+encoder gradients its noise estimate needs.
 """
 
 from dataclasses import dataclass
@@ -19,6 +25,8 @@ from .errors import ConfigError, ShapeError
 from .tensor import (
     Tensor,
     accumulate,
+    accumulate_params,
+    affine_grads,
     layer_norm_rows,
     linear,
     softmax_array,
@@ -102,49 +110,62 @@ def _dropout(x, rate, rng):
     return x * Tensor(mask)
 
 
-def _self_attention(x, block, heads):
+def _self_attention(x, block, heads, segments=None):
     """Multi-head scaled dot-product self-attention over the rows of ``x``,
     with its output projection, as one graph node.
 
     The query, key and value weights stay separate parameters; they are
-    joined column-wise here so one matmul projects all three.
+    joined column-wise here so one matmul projects all three. With
+    ``segments`` each conversation attends only to its own rows.
     """
     wq, wk, wv, wo, bo = (block[k] for k in ("wq", "wk", "wv", "wo", "bo"))
     n, h = x.shape
     head_dim = h // heads
     scale = 1.0 / np.sqrt(head_dim)
     w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
-    # (n, 3h) -> three (heads, n, head_dim) stacks
+    # (n, 3h) -> per conversation, three (heads, rows, head_dim) stacks
     qkv = (x.data @ w_qkv).reshape(n, 3, heads, head_dim)
-    q, k, v = qkv.transpose(1, 2, 0, 3)
-    weights = softmax_array(np.matmul(q, k.swapaxes(1, 2)) * scale, axis=2)
-    mixed = np.matmul(weights, v).transpose(1, 0, 2).reshape(n, h)
+    parts = (slice(None),) if segments is None else segments.slices
+    mixed = np.empty((n, heads, head_dim))
+    attended = []
+    for rows in parts:
+        q, k, v = qkv[rows].transpose(1, 2, 0, 3)
+        weights = softmax_array(np.matmul(q, k.swapaxes(1, 2)) * scale, axis=2)
+        mixed[rows] = np.matmul(weights, v).transpose(1, 0, 2)
+        attended.append((q, k, v, weights))
+    mixed = mixed.reshape(n, h)
 
     def backward(g):
-        accumulate(wo, mixed.T @ g)
-        accumulate(bo, g.sum(axis=0))
+        accumulate_params((wo, bo), affine_grads, (mixed, g), segments)
         g_mixed = (g @ wo.data.T).reshape(n, heads, head_dim)
         g_mixed = g_mixed.transpose(1, 0, 2)
-        g_scores = softmax_vjp(
-            weights, np.matmul(g_mixed, v.swapaxes(1, 2)), axis=2) * scale
-        g_qkv = np.stack((np.matmul(g_scores, k),
-                          np.matmul(g_scores.swapaxes(1, 2), q),
-                          np.matmul(weights.swapaxes(1, 2), g_mixed)))
+        g_qkv = np.empty((3, heads, n, head_dim))
+        for rows, (q, k, v, weights) in zip(parts, attended):
+            g_heads = g_mixed[:, rows]
+            g_scores = softmax_vjp(
+                weights, np.matmul(g_heads, v.swapaxes(1, 2)), axis=2) * scale
+            g_q, g_k, g_v = g_qkv[:, :, rows]
+            np.matmul(g_scores, k, out=g_q)
+            np.matmul(g_scores.swapaxes(1, 2), q, out=g_k)
+            np.matmul(weights.swapaxes(1, 2), g_heads, out=g_v)
         g_qkv = g_qkv.transpose(2, 0, 1, 3).reshape(n, 3 * h)
-        g_w = x.data.T @ g_qkv
-        accumulate(wq, g_w[:, :h])
-        accumulate(wk, g_w[:, h:2 * h])
-        accumulate(wv, g_w[:, 2 * h:])
+
+        def qkv_grads(xs, gs):
+            g_w = xs.swapaxes(-1, -2) @ gs
+            return g_w[..., :h], g_w[..., h:2 * h], g_w[..., 2 * h:]
+
+        accumulate_params((wq, wk, wv), qkv_grads, (x.data, g_qkv), segments)
         accumulate(x, g_qkv @ w_qkv.T)
 
     return Tensor._op(mixed @ wo.data + bo.data, (x, wq, wk, wv, wo, bo),
                       backward)
 
 
-def encode(x, params, rng=None):
+def encode(x, params, rng=None, segments=None):
     """Map raw utterance features (N x d_m) to hidden states (N x h).
 
     Deterministic unless dropout is enabled and an ``rng`` is supplied.
+    ``segments`` marks the conversations of a pack (see the module note).
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)
@@ -152,13 +173,14 @@ def encode(x, params, rng=None):
         raise ShapeError(
             f"encoder expects (N, {params.input_dim}) input, got {x.shape}")
     config = params.config
-    z = linear(x, params.w_in, params.b_in)
+    z = linear(x, params.w_in, params.b_in, segments)
     for block in params.blocks:
-        attn = _dropout(_self_attention(z, block, config.heads),
+        attn = _dropout(_self_attention(z, block, config.heads, segments),
                         config.dropout, rng)
-        z = layer_norm_rows(z + attn, block["ln1_g"], block["ln1_b"])
-        ff = linear(linear(z, block["w1"], block["b1"]).relu(),
-                    block["w2"], block["b2"])
+        z = layer_norm_rows(z + attn, block["ln1_g"], block["ln1_b"],
+                            segments=segments)
+        ff = linear(linear(z, block["w1"], block["b1"], segments).relu(),
+                    block["w2"], block["b2"], segments)
         z = layer_norm_rows(z + _dropout(ff, config.dropout, rng),
-                            block["ln2_g"], block["ln2_b"])
+                            block["ln2_g"], block["ln2_b"], segments=segments)
     return z

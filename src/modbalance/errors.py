@@ -37,19 +37,23 @@ def check_keys(payload, known, what):
         raise ConfigError(f"unknown {what}: {sorted(unknown)}")
 
 
+def check_value(value, expected, what):
+    """Raise ConfigError naming ``what`` unless ``value`` is of type
+    ``expected`` and, for a float, finite. A bool is not a number; an int
+    is a valid float."""
+    accepted = (int, float) if expected is float else expected
+    if (not isinstance(value, accepted)
+            or isinstance(value, bool) != (expected is bool)):
+        raise ConfigError(
+            f"{what} must be {expected.__name__}, got {value!r}")
+    if expected is float and not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+
+
 def check_fields(payload, cls, what):
-    """``check_keys`` against the fields of dataclass ``cls``, then raise
-    ConfigError naming the first value not of its field's type or, for a
-    float, not finite. A bool is not a number; an int is a valid float."""
+    """``check_keys`` against the fields of dataclass ``cls``, then
+    ``check_value`` on each given value against its field's type."""
     check_keys(payload, cls.__dataclass_fields__, what)
     for f in dataclasses.fields(cls):
-        if f.name not in payload:
-            continue
-        value = payload[f.name]
-        expected = (int, float) if f.type is float else f.type
-        if (not isinstance(value, expected)
-                or isinstance(value, bool) != (f.type is bool)):
-            raise ConfigError(
-                f"{what}: {f.name} must be {f.type.__name__}, got {value!r}")
-        if f.type is float and not math.isfinite(value):
-            raise ConfigError(f"{what}: {f.name} must be finite, got {value!r}")
+        if f.name in payload:
+            check_value(payload[f.name], f.type, f"{what}: {f.name}")

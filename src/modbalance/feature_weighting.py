@@ -10,7 +10,11 @@ small mapping network learns to predict the attention map from the raw
 hidden states (the alignment target of the feature loss).
 
 Each step (cores, coefficients, pooling, the contraction chain with its
-output map, the gate) is one graph node with a hand-written backward.
+output map, the gate) is one graph node with a hand-written backward. On a
+pack of conversations (``tensor.Segments``) pooling averages each
+conversation on its own, and the contraction chain contracts each row
+with its own conversation's pooled matrices; the other steps work on rows
+alone.
 """
 
 from dataclasses import dataclass
@@ -61,7 +65,7 @@ class AfwState:
     cores_q: dict  # modality -> (N, r, r)
     cores_k: dict
     coefficients: dict  # modality -> (N, r, r) probability slices
-    pooled: dict  # modality -> (r, r)
+    pooled: dict  # modality -> (r, r), or (S, r, r) over a pack
     attention: dict  # modality -> (N, h)
     mapped: dict  # modality -> (N, h) mapper predictions
     balanced: dict  # modality -> (N, h)
@@ -112,46 +116,72 @@ def attention_coefficients(cores_q, cores_k, d_k):
                       backward)
 
 
-def pool_attention(coefficients):
-    """Average the per-utterance slices down to a single r x r matrix."""
-    n = coefficients.shape[0]
+def pool_attention(coefficients, segments=None):
+    """Average the per-utterance slices down to a single r x r matrix, or
+    with ``segments`` to one per conversation, (S, r, r)."""
+    if segments is None:
+        n = coefficients.shape[0]
+
+        def backward(g):
+            accumulate(coefficients,
+                       np.broadcast_to(g * (1.0 / n), coefficients.shape))
+
+        return Tensor._op(coefficients.data.sum(axis=0) * (1.0 / n),
+                          (coefficients,), backward)
+
+    inv = segments.inv_lengths[:, None, None]
 
     def backward(g):
-        accumulate(coefficients,
-                   np.broadcast_to(g * (1.0 / n), coefficients.shape))
+        accumulate(coefficients, (g * inv)[segments.ids])
 
-    return Tensor._op(coefficients.data.sum(axis=0) * (1.0 / n),
+    return Tensor._op(segments.pad(coefficients.data).sum(axis=1) * inv,
                       (coefficients,), backward)
 
 
-def feature_attention(coefficients, pooled, out_map, active=MODALITIES):
+def feature_attention(coefficients, pooled, out_map, active=MODALITIES,
+                      segments=None):
     """Chain contractions with every active modality's pooled attention.
 
     The chain is what couples the modalities: perturbing any pooled matrix
     changes the result. Raises if a required pooled matrix is missing.
+    With ``segments`` each pooled matrix is a stack of one per
+    conversation, and each row is contracted with its own conversation's.
     """
     n, r1, r2 = coefficients.shape
+    expected = (r2, r2) if segments is None else (len(segments), r2, r2)
     factors = []
     for m in active:
         if m not in pooled:
             raise ShapeError(f"missing pooled attention for modality {m!r}")
-        if pooled[m].shape != (r2, r2):
+        if pooled[m].shape != expected:
             raise ShapeError(
                 f"pooled attention of {m!r} is {pooled[m].shape}, expected "
-                f"{(r2, r2)}")
+                f"{expected}")
         factors.append(pooled[m])
+    # one (r2, r2) factor for all rows, or each row's own
+    row_factors = [p.data if segments is None else p.data[segments.ids]
+                   for p in factors]
     # chain[i] is the coefficients contracted with the first i factors
     chain = [coefficients.data]
-    for p in factors:
-        chain.append(chain[-1] @ p.data)
+    for f in row_factors:
+        chain.append(chain[-1] @ f)
     flat = chain[-1].reshape(n, r1 * r2)
+
+    def factor_grad(x, g_x):
+        """Sum of x_row^T g_row over all rows, or each conversation's."""
+        if segments is None:
+            return x.reshape(n * r1, r2).T @ g_x.reshape(n * r1, r2)
+        s = len(segments)
+        return (segments.pad(x).reshape(s, -1, r2).swapaxes(1, 2)
+                @ segments.pad(g_x).reshape(s, -1, r2))
 
     def backward(g):
         accumulate(out_map, flat.T @ g)
         g_x = (g @ out_map.data.T).reshape(n, r1, r2)
-        for x, p in zip(reversed(chain[:-1]), reversed(factors)):
-            accumulate(p, x.reshape(n * r1, r2).T @ g_x.reshape(n * r1, r2))
-            g_x = g_x @ p.data.T
+        for x, p, f in zip(reversed(chain[:-1]), reversed(factors),
+                           reversed(row_factors)):
+            accumulate(p, factor_grad(x, g_x))
+            g_x = g_x @ f.swapaxes(-1, -2)
         accumulate(coefficients, g_x)
 
     return Tensor._op(flat @ out_map.data,
@@ -177,19 +207,20 @@ def map_attention(z, params):
     return linear(hidden, params.map_w2, params.map_b2)
 
 
-def forward(z, params, d_k, beta, active=MODALITIES):
-    """Run the full feature-weighting pass for all active modalities."""
+def forward(z, params, d_k, beta, active=MODALITIES, segments=None):
+    """Run the full feature-weighting pass for all active modalities, on
+    one conversation or on the pack that ``segments`` describes."""
     cores_q, cores_k, coefficients, pooled = {}, {}, {}, {}
     for m in active:
         p = params[m]
         cores_q[m] = make_cores(z[m], p.query1, p.query2)
         cores_k[m] = make_cores(z[m], p.key1, p.key2)
         coefficients[m] = attention_coefficients(cores_q[m], cores_k[m], d_k)
-        pooled[m] = pool_attention(coefficients[m])
+        pooled[m] = pool_attention(coefficients[m], segments)
     attention, mapped, balanced = {}, {}, {}
     for m in active:
         attention[m] = feature_attention(coefficients[m], pooled,
-                                         params[m].out, active)
+                                         params[m].out, active, segments)
         mapped[m] = map_attention(z[m], params[m])
         balanced[m] = fuse_features(attention[m], z[m], beta)
     return AfwState(cores_q=cores_q, cores_k=cores_k,

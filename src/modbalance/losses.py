@@ -10,6 +10,11 @@ not change the scale.
 Cross-entropy is one graph node: the log-sum-exp of each row minus its
 true-class logit, whose gradient is ``(softmax - onehot) / N``. It stays
 finite for any finite logits.
+
+On a pack of conversations (``tensor.Segments``) each loss is a vector of
+one value per conversation, each conversation's rows weighted by one over
+its own length, so the pack's total is the sum of what each conversation
+alone would give. ``main_loss`` adds the vectors term by term.
 """
 
 from dataclasses import dataclass
@@ -18,6 +23,8 @@ import numpy as np
 
 from .errors import DivergenceError, ShapeError
 from .tensor import Tensor, accumulate
+
+TERMS = ("cls", "feature", "modal")  # the order of main_loss's arguments
 
 
 @dataclass
@@ -35,7 +42,7 @@ class LossBreakdown:
                    main=cls_term + feature_term + modal_term)
 
 
-def _cross_entropy(logits, labels):
+def _cross_entropy(logits, labels, segments=None):
     labels = np.asarray(labels)
     n, num_classes = logits.shape
     if labels.shape != (n,):
@@ -48,55 +55,85 @@ def _cross_entropy(logits, labels):
     shifted = logits.data - peak
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
-    loss = (np.log(total[:, 0]) - shifted[rows, labels]).sum() * (1.0 / n)
+    per_row = np.log(total[:, 0]) - shifted[rows, labels]
+    if segments is None:
+        loss = per_row.sum() * (1.0 / n)
+    else:
+        loss = segments.sums(per_row) * segments.inv_lengths
 
     def backward(g):
         grad = e / total  # the row softmax
         grad[rows, labels] -= 1.0
-        accumulate(logits, grad * (g * (1.0 / n)))
+        accumulate(logits, grad * (g * (1.0 / n) if segments is None
+                                   else segments.row_weights(g)))
 
     return Tensor._op(loss, (logits,), backward)
 
 
-def cls_loss(outputs, labels):
+def cls_loss(outputs, labels, segments=None):
     """Mean cross-entropy of the classifier outputs against the labels."""
-    return _cross_entropy(outputs, labels)
+    return _cross_entropy(outputs, labels, segments)
 
 
-def modal_loss(fused, labels):
+def modal_loss(fused, labels, segments=None):
     """Mean cross-entropy applied directly to the fused cosine logits."""
-    return _cross_entropy(fused, labels)
+    return _cross_entropy(fused, labels, segments)
 
 
-def feature_loss(attention, mapped):
+def _check_pairs(attention, mapped):
+    for m in attention:
+        if attention[m].shape != mapped[m].shape:
+            raise ShapeError(
+                f"modality {m!r} attention {attention[m].shape} does not "
+                f"match prediction {mapped[m].shape}")
+    if not attention:
+        raise ShapeError("feature loss needs at least one modality")
+
+
+def feature_loss(attention, mapped, segments=None):
     """Per-utterance mean of the summed L1 gap, over all modalities.
 
     Zero exactly when every attention map equals its prediction; symmetric
     in its two arguments.
     """
+    _check_pairs(attention, mapped)
+    if segments is not None:
+        return _packed_feature_loss(attention, mapped, segments)
     total = None
-    rows = None
     for m in attention:
-        att = attention[m]
-        hat = mapped[m]
-        if att.shape != hat.shape:
-            raise ShapeError(
-                f"modality {m!r} attention {att.shape} does not match "
-                f"prediction {hat.shape}")
-        if rows is None:
-            rows = att.shape[0]
-        term = (att - hat).abs().sum()
+        term = (attention[m] - mapped[m]).abs().sum()
         total = term if total is None else total + term
-    if total is None:
-        raise ShapeError("feature loss needs at least one modality")
-    return total * (1.0 / rows)
+    return total * (1.0 / attention[m].shape[0])
+
+
+def _packed_feature_loss(attention, mapped, segments):
+    """``feature_loss`` of each conversation of a pack, as one node."""
+    parents = [t for m in attention for t in (attention[m], mapped[m])]
+    gaps = [att.data - hat.data for att, hat in zip(parents[::2],
+                                                    parents[1::2])]
+    loss = 0.0
+    for gap in gaps:
+        loss = loss + segments.sums(np.abs(gap))
+
+    def backward(g):
+        weights = segments.row_weights(g)
+        for att, hat, gap in zip(parents[::2], parents[1::2], gaps):
+            g_gap = weights * np.sign(gap)
+            accumulate(att, g_gap)
+            accumulate(hat, -g_gap)
+
+    return Tensor._op(loss * segments.inv_lengths, parents, backward)
 
 
 def main_loss(cls_term, feature_term, modal_term):
-    """Unweighted sum; raises naming the term if any part is non-finite."""
-    for name, term in (("cls", cls_term), ("feature", feature_term),
-                       ("modal", modal_term)):
-        value = term.item() if isinstance(term, Tensor) else float(term)
-        if not np.isfinite(value):
-            raise DivergenceError(f"{name} loss is not finite: {value}")
+    """Unweighted sum; raises naming the term if any part is non-finite.
+
+    The terms are scalars, or one value per conversation of a pack.
+    """
+    for name, term in zip(TERMS, (cls_term, feature_term, modal_term)):
+        values = term.data if isinstance(term, Tensor) else np.asarray(term)
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise DivergenceError(f"{name} loss is not finite: "
+                                  f"{float(bad[0])}")
     return cls_term + feature_term + modal_term

@@ -7,7 +7,11 @@ modality's encoder blocks form one slice (``encoder_spans``) because the
 balance optimizer treats them differently from everything else (they alone
 receive modulated, optionally noisy updates). The forward pass works for
 any nonempty modality subset: excluded modalities simply drop out of the
-contraction chain, the fusion sum, and the modality count.
+contraction chain, the fusion sum, and the modality count. It runs one
+conversation, or a pack of them stacked row-wise and described by a
+``tensor.Segments``; ``encoder_grad_rows`` gives the views through which a
+pack's encoder nodes write each conversation's encoder gradient into a row
+of one matrix.
 """
 
 from dataclasses import dataclass
@@ -77,7 +81,7 @@ class ModelConfig:
 
 @dataclass
 class ForwardPass:
-    """Everything one conversation's forward pass produces."""
+    """Everything one forward pass (a conversation or a pack) produces."""
 
     z: dict  # modality -> (N, h) hidden states
     afw_state: object  # feature_weighting.AfwState, or None when disabled
@@ -138,6 +142,7 @@ class Model:
             p.grad = self.grad[start:stop].reshape(p.data.shape)
         sizes = [sum(p.data.size for _, p in self.encoders[m].named_parameters(m))
                  for m in MODALITIES]
+        self.encoder_size = sum(sizes)
         self.encoder_spans = {m: slice(int(stop) - size, int(stop)) for m, size,
                               stop in zip(MODALITIES, sizes, np.cumsum(sizes))}
         return params
@@ -149,13 +154,26 @@ class Model:
     def zero_grad(self):
         self.grad.fill(0.0)
 
+    def encoder_grad_rows(self, rows):
+        """Map each encoder block to a (len(rows), *shape) view of its
+        columns of ``rows``, a (B, encoder_size) matrix laid out as the
+        front of ``grad``; row i of a view is conversation i's gradient."""
+        views = {}
+        for p, start, stop in zip(self._registry.values(), self.offsets,
+                                  self.offsets[1:]):
+            if stop > self.encoder_size:
+                break
+            views[p] = rows[:, start:stop].reshape(len(rows), *p.data.shape)
+        return views
+
     # --- forward ---
 
-    def forward(self, features, active=MODALITIES, rng=None):
+    def forward(self, features, active=MODALITIES, rng=None, segments=None):
         """Run one conversation through the full pipeline.
 
         ``features`` maps modality -> (N, d_m) arrays; ``active`` selects
-        the modality subset (nonempty).
+        the modality subset (nonempty). With ``segments`` the rows are a
+        pack of conversations, and AFW pools each one on its own.
         """
         active = tuple(active)
         if not active:
@@ -163,13 +181,15 @@ class Model:
         for m in active:
             if m not in MODALITIES:
                 raise ConfigError(f"unknown modality {m!r}")
-        z = {m: encode(features[m], self.encoders[m], rng=rng) for m in active}
+        z = {m: encode(features[m], self.encoders[m], rng=rng,
+                       segments=segments) for m in active}
         if self.config.disable_afw:
             state = None
             balanced = z
         else:
             state = afw.forward(z, self.afw_params, self.config.effective_d_k,
-                                self.config.beta, active=active)
+                                self.config.beta, active=active,
+                                segments=segments)
             balanced = state.balanced
         fused, contributions = fuse_modalities(
             balanced, self.head, active=active,

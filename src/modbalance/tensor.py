@@ -6,7 +6,19 @@ tensor with ``requires_grad=True``, accumulating additively when a tensor
 is consumed more than once. Each op hands ``Tensor._op`` a backward
 function of its output gradient; the result holds it only when the result
 is a graph node, and no backward function refers to its own output, so
-results never form reference cycles.
+results never form reference cycles. ``backward()`` releases the graph as
+it goes: once a node has passed its gradient on, it drops that gradient,
+its parents and its backward function (and with it the forward arrays the
+function kept). Leaves keep their gradients; a graph is backpropagated
+once.
+
+A graph may run several conversations at once, packed row-wise into one
+sequence; ``Segments`` says which rows belong to which conversation. Only
+ops that mix rows need it. It can also carry per-conversation gradient
+rows for some parameter blocks: an op that finds its parameter there adds
+each conversation's gradient into that conversation's row rather than one
+sum into ``grad`` (the per-example gradients of Goodfellow,
+arXiv:1510.01799).
 
 The model's cost is the Python overhead of each graph node, not its
 arithmetic, so the hot layers are single fused nodes with a hand-written
@@ -70,6 +82,73 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+class Segments:
+    """The conversations packed into one sequence of rows, in order.
+
+    ``slices`` holds each conversation's rows, ``ids`` the conversation of
+    each row and ``inv_lengths`` one over each conversation's length.
+    ``grads`` maps parameter blocks to (S, *shape) arrays whose row j
+    receives conversation j's gradient of that block (see
+    ``accumulate_params``).
+    """
+
+    def __init__(self, lengths, grads=None):
+        bounds = np.cumsum([0, *lengths])
+        self.slices = [slice(int(a), int(b))
+                       for a, b in zip(bounds, bounds[1:])]
+        self.ids = np.repeat(np.arange(len(lengths)), lengths)
+        self._place = (self.ids,
+                       np.arange(bounds[-1]) - bounds[:-1][self.ids])
+        self._longest = max(lengths)
+        self.inv_lengths = 1.0 / np.asarray(lengths, dtype=np.float64)
+        self.grads = grads if grads is not None else {}
+
+    def __len__(self):
+        return len(self.slices)
+
+    def sums(self, values):
+        """Each conversation's sum of ``values`` (rows first)."""
+        return np.array([values[s].sum() for s in self.slices])
+
+    def row_weights(self, g):
+        """Per-conversation ``g`` over each conversation's length, as a
+        column with one entry per row: the gradient weights of a
+        per-conversation mean."""
+        return (g * self.inv_lengths)[self.ids, None]
+
+    def pad(self, values):
+        """(S, longest, ...) stack of each conversation's rows of
+        ``values``, zero-filled past its length, so that one reduction
+        over axis 1 (a sum, or a batched matmul) gives every
+        conversation's own; the trailing zeros add nothing."""
+        stack = np.zeros((len(self), self._longest) + values.shape[1:])
+        stack[self._place] = values
+        return stack
+
+
+def accumulate_params(params, grads_of, arrays, segments=None):
+    """Pass on the gradients of ``params``, which ``grads_of(*arrays)``
+    computes (one per parameter) from row arrays, reducing over axis -2.
+
+    Without per-conversation rows for ``params`` in ``segments``, it runs
+    on the arrays as they are and feeds ``accumulate``. With them, it runs
+    on their padded stacks (``Segments.pad``), so each gradient gains a
+    leading conversation axis, and is added into ``segments.grads``.
+    """
+    if segments is None or params[0] not in segments.grads:
+        for p, g in zip(params, grads_of(*arrays)):
+            accumulate(p, g)
+        return
+    for p, g in zip(params, grads_of(*map(segments.pad, arrays))):
+        segments.grads[p] += g
+
+
+def affine_grads(x, g):
+    """Gradients of the weight and bias of ``x @ w + b`` given ``g`` at its
+    output, over the rows (axis -2) of ``x`` and ``g``."""
+    return x.swapaxes(-1, -2) @ g, g.sum(axis=-2)
+
+
 class Tensor:
     """N-dimensional float64 array with an optional gradient accumulator."""
 
@@ -119,7 +198,10 @@ class Tensor:
 
         ``self`` must be a scalar. Each graph node is visited exactly once,
         in reverse topological order; gradients from multiple uses add up.
-        Leaves have nothing to run, so the walk does not enter them.
+        Leaves have nothing to run, so the walk does not enter them. Each
+        node is released right after it runs: it keeps its ``data`` but
+        drops its ``grad``, ``_parents`` and backward function, so the
+        graph's memory is freed while the walk is still going.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
@@ -144,6 +226,8 @@ class Tensor:
                     stack.append((parent, False))
         for node in reversed(topo):
             node._backward_fn(node.grad)
+            node.grad = node._backward_fn = None
+            node._parents = ()
 
     # --- arithmetic (broadcasting, numpy rules) ---
 
@@ -227,8 +311,9 @@ def softmax_vjp(y, g, axis=-1):
     return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
 
-def linear(x, w, b):
-    """Affine map ``x @ w + b`` of the rows of ``x``, as one graph node."""
+def linear(x, w, b, segments=None):
+    """Affine map ``x @ w + b`` of the rows of ``x``, as one graph node;
+    ``segments`` may ask for per-conversation gradients of ``w`` and ``b``."""
     x = _as_tensor(x)
     if x.data.ndim != 2 or w.data.shape[0] != x.data.shape[1]:
         raise ShapeError(f"linear expects (N, {w.data.shape[0]}) input, "
@@ -237,18 +322,18 @@ def linear(x, w, b):
     def backward(g):
         if x.requires_grad:
             accumulate(x, g @ w.data.T)
-        accumulate(w, x.data.T @ g)
-        accumulate(b, g.sum(axis=0))
+        accumulate_params((w, b), affine_grads, (x.data, g), segments)
 
     return Tensor._op(x.data @ w.data + b.data, (x, w, b), backward)
 
 
-def layer_norm_rows(x, gamma, beta, eps=1e-6):
+def layer_norm_rows(x, gamma, beta, eps=1e-6, segments=None):
     """Standardize each row to zero mean / unit variance, then rescale.
 
     Fused forward and backward. eps bounds the 1/std factor when a row
     degenerates to a constant, while staying small enough that ordinary
-    rows standardize to unit variance well inside 1e-6.
+    rows standardize to unit variance well inside 1e-6. ``segments`` may
+    ask for per-conversation gradients of ``gamma`` and ``beta``.
     """
     x = _as_tensor(x)
     gamma = _as_tensor(gamma)
@@ -262,8 +347,10 @@ def layer_norm_rows(x, gamma, beta, eps=1e-6):
     standardized = centered * inv_std
 
     def backward(g):
-        accumulate(gamma, (g * standardized).sum(axis=0))
-        accumulate(beta, g.sum(axis=0))
+        scaled = g * standardized
+        accumulate_params(
+            (gamma, beta), lambda sg, g: (sg.sum(axis=-2), g.sum(axis=-2)),
+            (scaled, g), segments)
         if x.requires_grad:
             gg = g * gamma.data
             gg_mean = gg.sum(axis=1, keepdims=True) / width

@@ -10,6 +10,16 @@ the gradient spread inside the minibatch. All non-encoder parameters take
 plain SGD steps. All of it is vector arithmetic on the model's flat
 ``theta`` and ``grad`` and their per-modality ``encoder_spans``, never a
 loop over parameter blocks.
+
+A step does not build a graph per conversation. It splits the minibatch
+into packs of consecutive conversations (at most ``PACK_ROWS`` utterances
+each, as Krell et al. pack sequences, arXiv:2107.02027), stacks each
+pack's utterances row-wise, and runs one forward and one backward per
+pack. The non-encoder gradients accumulate in ``model.grad``. The encoder
+nodes write each conversation's encoder gradient into its row of one
+(batch_size, encoder_size) matrix that ``train`` allocates once; the sum
+of its rows is the encoder part of the batch gradient, and each
+modality's columns feed the noise estimate.
 """
 
 import logging
@@ -20,13 +30,32 @@ import numpy as np
 
 from .dataset import MODALITIES, batches as make_batches
 from .errors import ConfigError, DivergenceError, check_fields
-from .losses import LossBreakdown, cls_loss, feature_loss, main_loss, modal_loss
+from .losses import (
+    TERMS,
+    LossBreakdown,
+    cls_loss,
+    feature_loss,
+    main_loss,
+    modal_loss,
+)
 from .metrics import EvalReport, logit_trace
-from .tensor import Tensor, no_grad, softmax_array
+from .tensor import Segments, Tensor, no_grad, softmax_array
 
 logger = logging.getLogger(__name__)
 
 SCORE_FLOOR = 1e-12
+
+PACK_ROWS = 128
+"""Most utterances one training graph holds (unless one conversation has
+more). On a shared 2-core VM a pack's forward and backward cost about
+4.9 ms per graph plus 0.084 ms per row (a fit over packs of 1-10
+``train_short`` conversations), so a full pack spends about a third of its
+time on the fixed cost, where a 3-utterance conversation alone spends 95%.
+86% of ``train_short`` batches (58-153 rows, median 112) fit in one pack.
+Larger packs cost memory: on a 642-row ``train_long`` batch the
+tracemalloc peak of a step was 5.6 MB with a graph per conversation,
+6.5 MB at 128 rows, 12.8 MB at 256 and 31 MB with the whole batch in one
+graph."""
 
 TRACE_HEADER = [
     "epoch", "step",
@@ -155,17 +184,82 @@ def apply_update(model, grads, eta, k=None, noise_std=None, rng=None):
     model.theta -= step
 
 
-def _conversation_losses(model, conv, active, dropout_rng):
-    out = model.forward(conv.features, active=active, rng=dropout_rng)
-    cls_term = cls_loss(out.outputs, conv.labels)
+def packs(batch):
+    """Split a batch, in order, into runs of conversations of at most
+    ``PACK_ROWS`` utterances; a longer conversation is a pack of its own."""
+    pack, rows = [], 0
+    for conv in batch:
+        if pack and rows + conv.num_utterances > PACK_ROWS:
+            yield pack
+            pack, rows = [], 0
+        pack.append(conv)
+        rows += conv.num_utterances
+    if pack:
+        yield pack
+
+
+def _pack_losses(model, pack, segments, active, dropout_rng, step):
+    """Forward a pack; returns the pass, its labels, the (3, S) loss terms
+    of its conversations and their total, a scalar tensor.
+
+    A non-finite term raises a DivergenceError naming the step, the first
+    such conversation and the term.
+    """
+    features = {m: np.concatenate([c.features[m] for c in pack])
+                for m in active}
+    labels = np.concatenate([c.labels for c in pack])
+    out = model.forward(features, active=active, rng=dropout_rng,
+                        segments=segments)
+    cls_term = cls_loss(out.outputs, labels, segments)
     if out.afw_state is None:
-        feature_term = Tensor(0.0)
+        feature_term = Tensor(np.zeros(len(pack)))
     else:
         feature_term = feature_loss(out.afw_state.attention,
-                                    out.afw_state.mapped)
-    modal_term = modal_loss(out.fused, conv.labels)
-    total = main_loss(cls_term, feature_term, modal_term)
-    return out, total, (cls_term.item(), feature_term.item(), modal_term.item())
+                                    out.afw_state.mapped, segments)
+    modal_term = modal_loss(out.fused, labels, segments)
+    values = np.stack([cls_term.data, feature_term.data, modal_term.data])
+    bad = np.argwhere(~np.isfinite(values.T))
+    if bad.size:
+        j, t = bad[0]
+        raise DivergenceError(
+            f"step {step}, conversation {pack[j].id}: {TERMS[t]} loss is "
+            f"not finite: {values[t, j]}")
+    total = main_loss(cls_term, feature_term, modal_term).sum()
+    return out, labels, values, total
+
+
+def backward_batch(model, batch, conv_grads, active=MODALITIES,
+                   dropout_rng=None, step=0):
+    """Forward and backward ``batch``, one graph per pack.
+
+    Afterwards ``model.grad`` holds the gradient summed over the batch, and
+    row i of ``conv_grads``, a (>= len(batch), encoder_size) matrix,
+    conversation i's encoder gradient. Returns each active modality's
+    balance-score logits and the labels, over the batch's utterances, and
+    the (3, B) loss terms of its conversations.
+    """
+    model.zero_grad()
+    conv_grads[:len(batch)] = 0.0
+    score_logits = {m: [] for m in active}
+    labels, terms = [], []
+    first = 0
+    for pack in packs(batch):
+        last = first + len(pack)
+        segments = Segments([c.num_utterances for c in pack],
+                            model.encoder_grad_rows(conv_grads[first:last]))
+        out, pack_labels, values, total = _pack_losses(
+            model, pack, segments, active, dropout_rng, step)
+        total.backward()
+        for m in active:
+            score_logits[m].append(out.score_logits(m, model.head.bias.data))
+        labels.append(pack_labels)
+        terms.append(values)
+        first = last
+    encoder_grad = model.grad[:model.encoder_size]
+    for row in conv_grads[:len(batch)]:  # in conversation order
+        encoder_grad += row
+    return ({m: np.concatenate(score_logits[m]) for m in active},
+            np.concatenate(labels), np.hstack(terms))
 
 
 def evaluate(model, conversations, active=MODALITIES):
@@ -184,12 +278,13 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
           trace_sink=None):
     """Run the full training loop; the model is updated in place.
 
-    Per minibatch: encode, feature-weight, fuse, classify, compute the
-    three losses per conversation, average gradients, derive balance
-    scores / ratios / modulation coefficients, then update encoder blocks
-    with modulated (optionally noisy) SGD and everything else with plain
-    SGD. Appends one StepTrace per step to ``trace_sink`` (or an internal
-    list) and evaluates ``eval_data`` once per epoch.
+    Per minibatch, pack by pack: encode, feature-weight, fuse, classify,
+    compute the three losses per conversation and backpropagate the pack's
+    total. Then average the gradients, derive balance scores / ratios /
+    modulation coefficients, and update encoder blocks with modulated
+    (optionally noisy) SGD and everything else with plain SGD. Appends one
+    StepTrace per step to ``trace_sink`` (or an internal list) and
+    evaluates ``eval_data`` once per epoch.
     """
     config.validate()
     active = tuple(active)
@@ -197,10 +292,8 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
     dropout_rng = (np.random.default_rng(config.seed + 104729)
                    if model.config.dropout > 0.0 else None)
     use_noise = config.noise and not config.disable_modulation
-    spans = {m: model.encoder_spans[m] for m in active}
     # once per call: a fresh matrix per step would keep two alive at a time
-    rows = {m: np.empty((config.batch_size, model.grad[s].size))
-            for m, s in spans.items()} if use_noise else {}
+    conv_grads = np.empty((config.batch_size, model.encoder_size))
 
     traces = trace_sink if trace_sink is not None else []
     result = TrainResult(traces=traces, eval_history=[])
@@ -209,27 +302,10 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
         for batch in make_batches(conversations, config.batch_size,
                                   seed=config.seed + epoch):
             step += 1
-            grad_sum = np.zeros_like(model.grad)
-            score_logits = {m: [] for m in active}
-            labels, parts = [], []
-            for i, conv in enumerate(batch):
-                model.zero_grad()
-                out, total, terms = _conversation_losses(
-                    model, conv, active, dropout_rng)
-                total.backward()
-                grad_sum += model.grad
-                for m, r in rows.items():
-                    r[i] = model.grad[spans[m]]
-                for m in active:
-                    score_logits[m].append(out.score_logits(m, model.head.bias.data))
-                labels.append(conv.labels)
-                parts.append(terms)
-
+            stacked, all_labels, terms = backward_batch(
+                model, batch, conv_grads, active, dropout_rng, step)
             batch_size = len(batch)
-            grads = grad_sum / batch_size
-
-            all_labels = np.concatenate(labels)
-            stacked = {m: np.concatenate(score_logits[m]) for m in active}
+            grads = model.grad / batch_size
             scores = {m: unimodal_score(stacked[m], all_labels) for m in active}
             ratios = discrepancy_ratio(scores)
             if config.disable_modulation:
@@ -237,13 +313,15 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
             else:
                 coefficients = modulation_coefficient(ratios, config.alpha)
 
-            noise_std = (_noise_std({m: r[:batch_size] for m, r in rows.items()})
+            noise_std = (_noise_std({m: conv_grads[:batch_size,
+                                                   model.encoder_spans[m]]
+                                     for m in active})
                          if use_noise else None)
             apply_update(model, grads, config.learning_rate, k=coefficients,
                          noise_std=noise_std, rng=noise_rng)
 
             losses = LossBreakdown.from_parts(
-                *(float(np.mean(terms)) for terms in zip(*parts)))
+                *(float(np.mean(term)) for term in terms))
             norms = model.weight_norms(active=active).mean(axis=1)
             traces.append(StepTrace(
                 epoch=epoch, step=step, losses=losses,

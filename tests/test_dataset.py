@@ -118,6 +118,27 @@ def test_spec_from_dict_rejects_unknown_keys_and_bad_values():
         SynthSpec.from_dict({"utterances": [2]})
 
 
+@pytest.mark.parametrize("payload, option", [
+    ({"noise_sigma": float("nan")}, "noise_sigma must be finite"),
+    ({"conversations": 3.9}, "conversations must be int"),
+    ({"seed": True}, "seed must be int"),
+    ({"dims": {"t": 6.0, "a": 5, "v": 4}}, "dims.t must be int"),
+    ({"gamma": {"t": 1.0, "a": False, "v": 1}}, "gamma.a must be float"),
+    ({"gamma": {"t": float("inf"), "a": 1, "v": 1}}, "gamma.t must be finite"),
+    ({"utterances": [2, 4.5]}, "utterances must be int"),
+])
+def test_spec_from_dict_checks_value_types(payload, option):
+    with pytest.raises(ConfigError, match=option):
+        SynthSpec.from_dict(payload)
+
+
+def test_spec_from_dict_takes_ints_as_floats():
+    spec = SynthSpec.from_dict({"noise_sigma": 1, "gamma": {"t": 1, "a": 0,
+                                                            "v": 0.5}})
+    assert spec.noise_sigma == 1.0 and type(spec.noise_sigma) is float
+    assert spec.gamma == {"t": 1.0, "a": 0.0, "v": 0.5}
+
+
 # --- file format ---
 
 def test_save_load_round_trip(tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from modbalance import training
 from modbalance.dataset import SynthSpec, batches, generate
 from modbalance.errors import ConfigError, DivergenceError
 from modbalance.losses import cls_loss, feature_loss, main_loss, modal_loss
@@ -278,16 +279,12 @@ def test_modulation_never_touches_non_encoder_parameters():
         for name in encoder_names)
 
 
-def test_disable_modulation_matches_reference_sgd_bitwise():
-    data = tiny_data(conversations=5)
-    epochs = 3
-    config = OptimizerConfig(learning_rate=0.15, epochs=epochs, batch_size=2,
-                             noise=False, disable_modulation=True, seed=6)
-    model = tiny_model(seed=10)
-    train(model, data, config)
-
+def reference_sgd(data, config, seed):
+    """Plain SGD, one conversation's graph at a time, in ``train``'s batch
+    schedule; returns the named parameters of the trained model."""
+    epochs = config.epochs
     # independent plain-SGD reference path with the same batch schedule
-    reference = tiny_model(seed=10)
+    reference = tiny_model(seed=seed)
     params = reference.named_parameters()
     for epoch in range(1, epochs + 1):
         for batch in batches(data, config.batch_size, seed=config.seed + epoch):
@@ -304,22 +301,44 @@ def test_disable_modulation_matches_reference_sgd_bitwise():
                     grad_sum[n] += p.grad if p.grad is not None else 0.0
             for n, p in params.items():
                 p.data = p.data - config.learning_rate * (grad_sum[n] / len(batch))
+    return params
 
+
+def assert_close_to_reference(actual, expected, rtol=1e-12):
+    """max |actual - expected| <= rtol * max |expected|, per block."""
+    for name, p in expected.items():
+        scale = np.abs(p.data).max()
+        assert np.abs(actual[name].data - p.data).max() <= rtol * scale, name
+
+
+def test_disable_modulation_matches_reference_sgd():
+    # a pack of several conversations sums its rows in other orders than the
+    # reference's one graph per conversation, so the match is to rounding
+    data = tiny_data(conversations=5)
+    config = OptimizerConfig(learning_rate=0.15, epochs=3, batch_size=2,
+                             noise=False, disable_modulation=True, seed=6)
+    model = tiny_model(seed=10)
+    train(model, data, config)
+    assert_close_to_reference(model.named_parameters(),
+                              reference_sgd(data, config, seed=10))
+
+
+def test_disable_modulation_matches_reference_sgd_bitwise_at_batch_size_1():
+    data = tiny_data(conversations=5)
+    config = OptimizerConfig(learning_rate=0.15, epochs=3, batch_size=1,
+                             noise=False, disable_modulation=True, seed=6)
+    model = tiny_model(seed=10)
+    train(model, data, config)
     trained = model.named_parameters()
-    for name, p in params.items():
+    for name, p in reference_sgd(data, config, seed=10).items():
         assert np.array_equal(p.data, trained[name].data), name
 
 
-def test_noisy_step_matches_per_block_reference():
-    # the vector update against a loop over blocks: per-block gradient sums,
-    # stacked per-conversation gradients and one noise draw per block
-    data = tiny_data(conversations=3)
-    config = OptimizerConfig(learning_rate=0.1, epochs=1, batch_size=3,
-                             noise=True, alpha=2.0, seed=2)
-    model = tiny_model(seed=17)
-    coefficients = train(model, data, config).traces[0].balance.coefficients
-
-    reference = tiny_model(seed=17)
+def reference_noisy_step(data, config, coefficients, seed):
+    """One noisy, modulated step with per-block gradient sums, stacked
+    per-conversation gradients and one noise draw per block; returns the
+    stepped model."""
+    reference = tiny_model(seed=seed)
     params = reference.named_parameters()
     per_conv = []
     for conv in batches(data, config.batch_size, seed=config.seed + 1)[0]:
@@ -343,7 +362,34 @@ def test_noisy_step_matches_per_block_reference():
             step = step - config.learning_rate * (
                 rng.standard_normal(p.data.shape) * std)
         p.data[...] = p.data - step
+    return reference
 
+
+NOISY_STEP = OptimizerConfig(learning_rate=0.1, epochs=1, batch_size=3,
+                             noise=True, alpha=2.0, seed=2)
+
+
+def test_noisy_step_matches_per_block_reference():
+    # the vector update against a loop over blocks: per-block gradient sums,
+    # stacked per-conversation gradients and one noise draw per block
+    data = tiny_data(conversations=3)
+    model = tiny_model(seed=17)
+    coefficients = train(model, data, NOISY_STEP).traces[0].balance.coefficients
+    reference = reference_noisy_step(data, NOISY_STEP, coefficients, seed=17)
+    assert min(coefficients.values()) < 1.0
+    assert (np.abs(reference.theta - model.theta).max()
+            <= 1e-12 * np.abs(reference.theta).max())
+
+
+def test_noisy_step_matches_per_block_reference_bitwise_one_conversation_per_pack(
+        monkeypatch):
+    # the reference's ddof=1 std needs two conversations, so the batch keeps
+    # three and each pack holds one
+    monkeypatch.setattr(training, "PACK_ROWS", 1)
+    data = tiny_data(conversations=3)
+    model = tiny_model(seed=17)
+    coefficients = train(model, data, NOISY_STEP).traces[0].balance.coefficients
+    reference = reference_noisy_step(data, NOISY_STEP, coefficients, seed=17)
     assert min(coefficients.values()) < 1.0
     assert np.array_equal(reference.theta, model.theta)
 
@@ -420,3 +466,43 @@ def test_backward_leaves_no_reference_cycles():
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+def test_backward_releases_the_graph():
+    model = tiny_model(seed=15)
+    conv = tiny_data(conversations=1)[0]
+    out = model.forward(conv.features)
+    loss = main_loss(cls_loss(out.outputs, conv.labels),
+                     feature_loss(out.afw_state.attention, out.afw_state.mapped),
+                     modal_loss(out.fused, conv.labels))
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node._backward_fn is not None and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    assert len(nodes) > 50
+    model.zero_grad()
+    loss.backward()
+    for node in nodes.values():
+        assert node._backward_fn is None and node._parents == ()
+        assert node.grad is None
+    kept = model.grad.copy()
+    for name, p in model.named_parameters().items():
+        assert np.shares_memory(p.grad, model.grad) and p.grad.any(), name
+    loss.backward()  # a released graph has nothing left to propagate
+    assert np.array_equal(model.grad, kept)
+
+
+def test_divergence_names_step_conversation_and_term():
+    data = tiny_data(conversations=6)
+    config = OptimizerConfig(learning_rate=0.1, epochs=2, batch_size=2,
+                             noise=False, seed=5)
+    bad = batches(data, config.batch_size, seed=config.seed + 1)[2][1]
+    bad.features["a"][0, 1] = float("nan")  # step 3 packs it second
+    traces = []
+    with pytest.raises(DivergenceError) as info:
+        train(tiny_model(seed=18), data, config, trace_sink=traces)
+    assert str(info.value) == (f"step 3, conversation {bad.id}: cls loss is "
+                               "not finite: nan")
+    assert len(traces) == 2
