@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import dataset
 from .dataset import MODALITIES
-from .errors import ConfigError, ModBalanceError, check_keys
+from .errors import ConfigError, ModBalanceError, check_keys, check_value
 from .files import replacing
 from .model import Model, ModelConfig
 from .training import OptimizerConfig, TRACE_HEADER, evaluate, train
@@ -57,16 +57,23 @@ class RunConfig:
         config = cls()
         data_section = payload.get("data", {})
         check_keys(data_section, ("path", "synth"), "data options")
-        config.data_path = str(data_section.get("path", ""))
+        config.data_path = data_section.get("path", "")
+        check_value(config.data_path, str, "data options: path")
         if "synth" in data_section:
             config.synth = dataset.SynthSpec.from_dict(data_section["synth"])
         config.model = ModelConfig.from_dict(payload.get("model", {}))
         config.optim = OptimizerConfig.from_dict(payload.get("optim", {}))
         if "modalities" in payload:
-            config.modalities = parse_modalities(payload["modalities"])
+            subset = payload["modalities"]
+            if not isinstance(subset, str):
+                check_value(subset, list, "modalities")
+                for m in subset:
+                    check_value(m, str, "modalities")
+            config.modalities = parse_modalities(subset)
         output = payload.get("output", {})
         check_keys(output, ("dir",), "output options")
-        config.output_dir = str(output.get("dir", "out"))
+        config.output_dir = output.get("dir", "out")
+        check_value(config.output_dir, str, "output options: dir")
         return config
 
     @classmethod

@@ -106,9 +106,12 @@ class SynthSpec:
     @classmethod
     def from_dict(cls, payload):
         """Spec from a JSON object; a value of the wrong type, or a
-        non-finite float, is a ConfigError naming the option."""
+        non-finite float, is a ConfigError naming the option. The entries
+        of ``dims`` and ``gamma`` replace the defaults one modality at a
+        time."""
         what = "synthetic spec options"
         check_keys(payload, cls.__dataclass_fields__, what)
+        defaults = cls()
         options = {}
         for name, kind in (("num_classes", int), ("noise_sigma", float),
                            ("conversations", int), ("seed", int)):
@@ -120,8 +123,9 @@ class SynthSpec:
                 check_keys(payload[name], MODALITIES, f"{name} modalities")
                 for m, value in payload[name].items():
                     check_value(value, kind, f"{what}: {name}.{m}")
-                options[name] = {m: kind(value)
-                                 for m, value in payload[name].items()}
+                options[name] = {**getattr(defaults, name),
+                                 **{m: kind(value)
+                                    for m, value in payload[name].items()}}
         if "utterances" in payload:
             bounds = payload["utterances"]
             if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:

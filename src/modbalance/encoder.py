@@ -8,11 +8,11 @@ cleanly separable from the fusion parameters.
 
 Multi-head self-attention is one graph node with a hand-written backward,
 and each projection is one ``linear`` node, so a layer adds eight nodes to
-the graph whatever the number of heads. On a pack of conversations
-(``tensor.Segments``) every node but self-attention works on the rows
-alone; self-attention projects the whole pack in one matmul and attends
-within each conversation. Each node can write each conversation's
-gradient of its parameters into that conversation's row of
+the graph whatever the number of heads. The rows are a pack of one or more
+conversations (``tensor.Segments``): every node but self-attention works
+on the rows alone; self-attention projects the whole pack in one matmul
+and attends within each conversation. Each node can write each
+conversation's gradient of its parameters into that conversation's row of
 ``segments.grads``, which is how training gets the per-conversation
 encoder gradients its noise estimate needs.
 """
@@ -110,13 +110,13 @@ def _dropout(x, rate, rng):
     return x * Tensor(mask)
 
 
-def _self_attention(x, block, heads, segments=None):
+def _self_attention(x, block, heads, segments):
     """Multi-head scaled dot-product self-attention over the rows of ``x``,
     with its output projection, as one graph node.
 
     The query, key and value weights stay separate parameters; they are
-    joined column-wise here so one matmul projects all three. With
-    ``segments`` each conversation attends only to its own rows.
+    joined column-wise here so one matmul projects all three. Each
+    conversation of ``segments`` attends only to its own rows.
     """
     wq, wk, wv, wo, bo = (block[k] for k in ("wq", "wk", "wv", "wo", "bo"))
     n, h = x.shape
@@ -125,10 +125,9 @@ def _self_attention(x, block, heads, segments=None):
     w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
     # (n, 3h) -> per conversation, three (heads, rows, head_dim) stacks
     qkv = (x.data @ w_qkv).reshape(n, 3, heads, head_dim)
-    parts = (slice(None),) if segments is None else segments.slices
     mixed = np.empty((n, heads, head_dim))
     attended = []
-    for rows in parts:
+    for rows in segments.slices:
         q, k, v = qkv[rows].transpose(1, 2, 0, 3)
         weights = softmax_array(np.matmul(q, k.swapaxes(1, 2)) * scale, axis=2)
         mixed[rows] = np.matmul(weights, v).transpose(1, 0, 2)
@@ -140,7 +139,7 @@ def _self_attention(x, block, heads, segments=None):
         g_mixed = (g @ wo.data.T).reshape(n, heads, head_dim)
         g_mixed = g_mixed.transpose(1, 0, 2)
         g_qkv = np.empty((3, heads, n, head_dim))
-        for rows, (q, k, v, weights) in zip(parts, attended):
+        for rows, (q, k, v, weights) in zip(segments.slices, attended):
             g_heads = g_mixed[:, rows]
             g_scores = softmax_vjp(
                 weights, np.matmul(g_heads, v.swapaxes(1, 2)), axis=2) * scale
@@ -161,11 +160,11 @@ def _self_attention(x, block, heads, segments=None):
                       backward)
 
 
-def encode(x, params, rng=None, segments=None):
+def encode(x, params, segments, rng=None):
     """Map raw utterance features (N x d_m) to hidden states (N x h).
 
     Deterministic unless dropout is enabled and an ``rng`` is supplied.
-    ``segments`` marks the conversations of a pack (see the module note).
+    ``segments`` marks the conversations of the rows (see the module note).
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)

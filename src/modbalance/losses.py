@@ -11,10 +11,12 @@ Cross-entropy is one graph node: the log-sum-exp of each row minus its
 true-class logit, whose gradient is ``(softmax - onehot) / N``. It stays
 finite for any finite logits.
 
-On a pack of conversations (``tensor.Segments``) each loss is a vector of
-one value per conversation, each conversation's rows weighted by one over
-its own length, so the pack's total is the sum of what each conversation
-alone would give. ``main_loss`` adds the vectors term by term.
+The rows are a pack of one or more conversations (``tensor.Segments``;
+without one, the rows are a single conversation), and each loss is a
+vector of one value per conversation, each conversation's rows weighted by
+one over its own length, so the pack's total is the sum of what each
+conversation alone would give. ``main_loss`` adds the vectors term by
+term.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ShapeError
-from .tensor import Tensor, accumulate
+from .tensor import Segments, Tensor, accumulate
 
 TERMS = ("cls", "feature", "modal")  # the order of main_loss's arguments
 
@@ -50,24 +52,21 @@ def _cross_entropy(logits, labels, segments=None):
     if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
         raise ShapeError(
             f"label outside [0, {num_classes}): {labels.min()}..{labels.max()}")
+    segments = segments or Segments([n])
     rows = np.arange(n)
     peak = logits.data.max(axis=1, keepdims=True)
     shifted = logits.data - peak
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
     per_row = np.log(total[:, 0]) - shifted[rows, labels]
-    if segments is None:
-        loss = per_row.sum() * (1.0 / n)
-    else:
-        loss = segments.sums(per_row) * segments.inv_lengths
 
     def backward(g):
         grad = e / total  # the row softmax
         grad[rows, labels] -= 1.0
-        accumulate(logits, grad * (g * (1.0 / n) if segments is None
-                                   else segments.row_weights(g)))
+        accumulate(logits, grad * segments.row_weights(g))
 
-    return Tensor._op(loss, (logits,), backward)
+    return Tensor._op(segments.sums(per_row) * segments.inv_lengths,
+                      (logits,), backward)
 
 
 def cls_loss(outputs, labels, segments=None):
@@ -91,24 +90,15 @@ def _check_pairs(attention, mapped):
 
 
 def feature_loss(attention, mapped, segments=None):
-    """Per-utterance mean of the summed L1 gap, over all modalities.
+    """Per-utterance mean of the summed L1 gap, over all modalities, as one
+    node.
 
     Zero exactly when every attention map equals its prediction; symmetric
     in its two arguments.
     """
     _check_pairs(attention, mapped)
-    if segments is not None:
-        return _packed_feature_loss(attention, mapped, segments)
-    total = None
-    for m in attention:
-        term = (attention[m] - mapped[m]).abs().sum()
-        total = term if total is None else total + term
-    return total * (1.0 / attention[m].shape[0])
-
-
-def _packed_feature_loss(attention, mapped, segments):
-    """``feature_loss`` of each conversation of a pack, as one node."""
     parents = [t for m in attention for t in (attention[m], mapped[m])]
+    segments = segments or Segments([parents[0].shape[0]])
     gaps = [att.data - hat.data for att, hat in zip(parents[::2],
                                                     parents[1::2])]
     loss = 0.0

@@ -7,11 +7,11 @@ modality's encoder blocks form one slice (``encoder_spans``) because the
 balance optimizer treats them differently from everything else (they alone
 receive modulated, optionally noisy updates). The forward pass works for
 any nonempty modality subset: excluded modalities simply drop out of the
-contraction chain, the fusion sum, and the modality count. It runs one
-conversation, or a pack of them stacked row-wise and described by a
-``tensor.Segments``; ``encoder_grad_rows`` gives the views through which a
-pack's encoder nodes write each conversation's encoder gradient into a row
-of one matrix.
+contraction chain, the fusion sum, and the modality count. It runs a
+pack of conversations stacked row-wise and described by a
+``tensor.Segments``, one conversation being a pack of one;
+``encoder_grad_rows`` gives the views through which a pack's encoder nodes
+write each conversation's encoder gradient into a row of one matrix.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ from .modality_weighting import (
     fuse_modalities,
     weight_norm_trace,
 )
-from .tensor import Tensor
+from .tensor import Segments, Tensor
 
 # Options removed from ModelConfig, at the only values a checkpoint may hold.
 # Checkpoints still record them, so the file format does not change.
@@ -169,11 +169,12 @@ class Model:
     # --- forward ---
 
     def forward(self, features, active=MODALITIES, rng=None, segments=None):
-        """Run one conversation through the full pipeline.
+        """Run a conversation, or the pack ``segments`` describes, through
+        the full pipeline.
 
         ``features`` maps modality -> (N, d_m) arrays; ``active`` selects
-        the modality subset (nonempty). With ``segments`` the rows are a
-        pack of conversations, and AFW pools each one on its own.
+        the modality subset (nonempty). Without ``segments`` the N rows are
+        one conversation. AFW pools each conversation on its own.
         """
         active = tuple(active)
         if not active:
@@ -181,15 +182,15 @@ class Model:
         for m in active:
             if m not in MODALITIES:
                 raise ConfigError(f"unknown modality {m!r}")
-        z = {m: encode(features[m], self.encoders[m], rng=rng,
-                       segments=segments) for m in active}
+        segments = segments or Segments([np.shape(features[active[0]])[0]])
+        z = {m: encode(features[m], self.encoders[m], segments, rng=rng)
+             for m in active}
         if self.config.disable_afw:
             state = None
             balanced = z
         else:
             state = afw.forward(z, self.afw_params, self.config.effective_d_k,
-                                self.config.beta, active=active,
-                                segments=segments)
+                                self.config.beta, segments, active=active)
             balanced = state.balanced
         fused, contributions = fuse_modalities(
             balanced, self.head, active=active,

@@ -12,13 +12,13 @@ its parents and its backward function (and with it the forward arrays the
 function kept). Leaves keep their gradients; a graph is backpropagated
 once.
 
-A graph may run several conversations at once, packed row-wise into one
-sequence; ``Segments`` says which rows belong to which conversation. Only
-ops that mix rows need it. It can also carry per-conversation gradient
-rows for some parameter blocks: an op that finds its parameter there adds
-each conversation's gradient into that conversation's row rather than one
-sum into ``grad`` (the per-example gradients of Goodfellow,
-arXiv:1510.01799).
+A graph runs one or more conversations, packed row-wise into one
+sequence; ``Segments`` says which rows belong to which conversation, and a
+lone conversation of N rows is ``Segments([N])``. Only ops that mix rows
+need it. It can also carry per-conversation gradient rows for some
+parameter blocks: an op that finds its parameter there adds each
+conversation's gradient into that conversation's row rather than one sum
+into ``grad`` (the per-example gradients of Goodfellow, arXiv:1510.01799).
 
 The model's cost is the Python overhead of each graph node, not its
 arithmetic, so the hot layers are single fused nodes with a hand-written
@@ -27,6 +27,8 @@ tensor-ring steps, cosine fusion and cross-entropy in the modules that own
 them. The ``Tensor`` methods are the few elementwise ops and reductions
 that glue those nodes together.
 """
+
+import itertools
 
 import numpy as np
 
@@ -93,14 +95,15 @@ class Segments:
     """
 
     def __init__(self, lengths, grads=None):
-        bounds = np.cumsum([0, *lengths])
-        self.slices = [slice(int(a), int(b))
-                       for a, b in zip(bounds, bounds[1:])]
-        self.ids = np.repeat(np.arange(len(lengths)), lengths)
+        # plain-Python bounds: every forward builds a Segments, and numpy's
+        # per-call overhead on a handful of ints outweighs the work
+        bounds = list(itertools.accumulate(lengths, initial=0))
+        self.slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.ids = np.arange(len(lengths)).repeat(lengths)
         self._place = (self.ids,
-                       np.arange(bounds[-1]) - bounds[:-1][self.ids])
+                       np.arange(bounds[-1]) - np.array(bounds)[self.ids])
         self._longest = max(lengths)
-        self.inv_lengths = 1.0 / np.asarray(lengths, dtype=np.float64)
+        self.inv_lengths = 1.0 / np.array(lengths, dtype=np.float64)
         self.grads = grads if grads is not None else {}
 
     def __len__(self):
@@ -114,7 +117,7 @@ class Segments:
         """Per-conversation ``g`` over each conversation's length, as a
         column with one entry per row: the gradient weights of a
         per-conversation mean."""
-        return (g * self.inv_lengths)[self.ids, None]
+        return (g * self.inv_lengths).take(self.ids)[:, None]
 
     def pad(self, values):
         """(S, longest, ...) stack of each conversation's rows of
@@ -186,7 +189,8 @@ class Tensor:
         return self.data.size
 
     def item(self):
-        return float(self.data)
+        """The value of a size-1 tensor, whatever its shape."""
+        return self.data.item()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -240,15 +244,6 @@ class Tensor:
 
         return Tensor._op(self.data + other.data, (self, other), backward)
 
-    def __sub__(self, other):
-        other = _as_tensor(other)
-
-        def backward(g):
-            accumulate(self, _unbroadcast(g, self.data.shape))
-            accumulate(other, _unbroadcast(-g, other.data.shape))
-
-        return Tensor._op(self.data - other.data, (self, other), backward)
-
     def __mul__(self, other):
         other = _as_tensor(other)
 
@@ -280,12 +275,6 @@ class Tensor:
             accumulate(self, g * (self.data > 0.0))
 
         return Tensor._op(np.maximum(self.data, 0.0), (self,), backward)
-
-    def abs(self):
-        def backward(g):
-            accumulate(self, g * np.sign(self.data))
-
-        return Tensor._op(np.abs(self.data), (self,), backward)
 
     # --- reductions ---
 

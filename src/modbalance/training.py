@@ -317,8 +317,15 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
                                                    model.encoder_spans[m]]
                                      for m in active})
                          if use_noise else None)
-            apply_update(model, grads, config.learning_rate, k=coefficients,
-                         noise_std=noise_std, rng=noise_rng)
+            try:
+                apply_update(model, grads, config.learning_rate,
+                             k=coefficients, noise_std=noise_std,
+                             rng=noise_rng)
+            except DivergenceError as exc:  # name the step and conversation
+                bad = np.flatnonzero(
+                    ~np.isfinite(conv_grads[:batch_size]).all(axis=1))
+                at = f", conversation {batch[bad[0]].id}" if bad.size else ""
+                raise DivergenceError(f"step {step}{at}: {exc}") from exc
 
             losses = LossBreakdown.from_parts(
                 *(float(np.mean(term)) for term in terms))

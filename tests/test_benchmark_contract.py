@@ -101,13 +101,21 @@ def test_gradient_and_reload_checks_replay_on_a_tiny_model():
         assert all(isinstance(t, Tensor) and t.shape == (4, 8)
                    for t in maps.values())
 
+    def main_loss():
+        out = model.forward(features)
+        return losses.main_loss(
+            losses.cls_loss(out.outputs, labels),
+            losses.feature_loss(out.afw_state.attention, out.afw_state.mapped),
+            losses.modal_loss(out.fused, labels))
+
     model.zero_grad()
-    losses.main_loss(
-        losses.cls_loss(out.outputs, labels),
-        losses.feature_loss(out.afw_state.attention, out.afw_state.mapped),
-        losses.modal_loss(out.fused, labels)).backward()
+    loss = main_loss()
+    loss.backward()
     for name, p in model.named_parameters().items():
         assert p.grad is not None and p.grad.shape == p.data.shape, name
+    with no_grad():  # check_gradient's loss_value
+        value = main_loss().item()
+    assert isinstance(value, float) and value == loss.item()
 
     with no_grad():
         predictions = model.forward(features).predictions()

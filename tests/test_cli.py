@@ -152,6 +152,16 @@ BAD_INPUTS = {
            ("model", "d_k", float("nan"))]},
     "run_config_ablation_section": (lambda tmp_path: train_argv(
         tmp_path, {"ablation": {"disable_afw": True}}), "ablation"),
+    "run_config_modalities_int": (lambda tmp_path: train_argv(
+        tmp_path, {"modalities": 5}), "modalities"),
+    "run_config_modalities_object": (lambda tmp_path: train_argv(
+        tmp_path, {"modalities": {"t": 1}}), "modalities"),
+    "run_config_modalities_list_of_ints": (lambda tmp_path: train_argv(
+        tmp_path, {"modalities": ["t", 1]}), "modalities"),
+    "run_config_output_dir_null": (lambda tmp_path: train_argv(
+        tmp_path, {"output": {"dir": None}}), "dir"),
+    "run_config_data_path_int": (lambda tmp_path: train_argv(
+        tmp_path, {"data": {"path": 5}}), "path"),
 }
 
 

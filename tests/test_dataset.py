@@ -132,6 +132,20 @@ def test_spec_from_dict_checks_value_types(payload, option):
         SynthSpec.from_dict(payload)
 
 
+@pytest.mark.parametrize("payload, expected", [
+    ({"gamma": {"a": 1}}, ("gamma", {"t": 1.0, "a": 1.0, "v": 1.0})),
+    ({"gamma": {"v": 0.25}}, ("gamma", {"t": 1.0, "a": 1.0, "v": 0.25})),
+    ({"dims": {"t": 8}}, ("dims", {"t": 8, "a": 12, "v": 12})),
+    ({"dims": {"a": 3, "v": 2}}, ("dims", {"t": 16, "a": 3, "v": 2})),
+])
+def test_spec_from_dict_merges_partial_modality_dicts(payload, expected):
+    name, values = expected
+    spec = SynthSpec.from_dict(payload)
+    assert getattr(spec, name) == values
+    other = "dims" if name == "gamma" else "gamma"
+    assert getattr(spec, other) == getattr(SynthSpec(), other)
+
+
 def test_spec_from_dict_takes_ints_as_floats():
     spec = SynthSpec.from_dict({"noise_sigma": 1, "gamma": {"t": 1, "a": 0,
                                                             "v": 0.5}})

@@ -6,7 +6,7 @@ import pytest
 from modbalance import encoder
 from modbalance.encoder import EncoderConfig, EncoderParams, encode
 from modbalance.errors import ConfigError, ShapeError
-from modbalance.tensor import Tensor, layer_norm_rows
+from modbalance.tensor import Segments, Tensor, layer_norm_rows
 
 from conftest import assert_grad_matches
 
@@ -30,10 +30,10 @@ def test_config_rejects_bad_head_split():
 def test_output_shape_and_dim_check():
     params = make_params()
     rng = np.random.default_rng(1)
-    z = encode(rng.standard_normal((6, 5)), params)
+    z = encode(rng.standard_normal((6, 5)), params, Segments([6]))
     assert z.shape == (6, 8)
     with pytest.raises(ShapeError):
-        encode(rng.standard_normal((6, 4)), params)
+        encode(rng.standard_normal((6, 4)), params, Segments([6]))
 
 
 def collect_attention(monkeypatch):
@@ -54,7 +54,7 @@ def test_single_utterance_attends_to_itself(monkeypatch):
     params = make_params()
     rng = np.random.default_rng(2)
     collected = collect_attention(monkeypatch)
-    z = encode(rng.standard_normal((1, 5)), params)
+    z = encode(rng.standard_normal((1, 5)), params, Segments([1]))
     assert z.shape == (1, 8)
     assert len(collected) == 1
     for weights in collected:  # one (heads, n, n) stack per layer
@@ -66,7 +66,7 @@ def test_attention_rows_sum_to_one(monkeypatch):
     params = make_params(layers=2)
     rng = np.random.default_rng(3)
     collected = collect_attention(monkeypatch)
-    encode(rng.standard_normal((7, 5)), params)
+    encode(rng.standard_normal((7, 5)), params, Segments([7]))
     assert len(collected) == 2  # one stack per layer
     for weights in collected:
         assert weights.shape == (2, 7, 7)
@@ -78,8 +78,8 @@ def test_permutation_equivariance_without_positions():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((6, 5))
     perm = rng.permutation(6)
-    base = encode(x, params).data
-    permuted = encode(x[perm], params).data
+    base = encode(x, params, Segments([6])).data
+    permuted = encode(x[perm], params, Segments([6])).data
     assert np.abs(permuted - base[perm]).max() < 1e-10
 
 
@@ -97,14 +97,15 @@ def test_dropout_is_seeded_and_off_at_eval():
     params = make_params(dropout=0.5)
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 5))
-    a = encode(x, params, rng=np.random.default_rng(9)).data
-    b = encode(x, params, rng=np.random.default_rng(9)).data
-    c = encode(x, params, rng=np.random.default_rng(10)).data
+    a = encode(x, params, Segments([4]), rng=np.random.default_rng(9)).data
+    b = encode(x, params, Segments([4]), rng=np.random.default_rng(9)).data
+    c = encode(x, params, Segments([4]),
+               rng=np.random.default_rng(10)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     # no rng -> deterministic evaluation path, no masking
-    d = encode(x, params).data
-    e = encode(x, params).data
+    d = encode(x, params, Segments([4])).data
+    e = encode(x, params, Segments([4])).data
     assert np.array_equal(d, e)
 
 
@@ -116,7 +117,8 @@ def test_encoder_gradients_match_finite_differences():
     names_and_params = list(params.named_parameters("enc"))
     leaves = [p for _, p in names_and_params]
 
-    assert_grad_matches(lambda: (encode(x, params) * r).sum(), leaves)
+    assert_grad_matches(
+        lambda: (encode(x, params, Segments([3])) * r).sum(), leaves)
 
 
 def attention_oracle(x, block, heads):
@@ -142,7 +144,7 @@ def test_self_attention_matches_loop_oracle(n):
     block = params.blocks[0]
     block["bo"].data[:] = np.random.default_rng(13).standard_normal(8)
     x = np.random.default_rng(14).standard_normal((n, 8))
-    out = encoder._self_attention(Tensor(x), block, heads=2)
+    out = encoder._self_attention(Tensor(x), block, 2, Segments([n]))
     assert np.abs(out.data - attention_oracle(x, block, 2)).max() < 1e-12
 
 
@@ -154,5 +156,7 @@ def test_self_attention_gradients_match_finite_differences(n):
     x = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
     r = Tensor(rng.standard_normal((n, 8)))
     leaves = [x] + [block[k] for k in ("wq", "wk", "wv", "wo", "bo")]
+    segments = Segments([n])
     assert_grad_matches(
-        lambda: (encoder._self_attention(x, block, heads=2) * r).sum(), leaves)
+        lambda: (encoder._self_attention(x, block, 2, segments) * r).sum(),
+        leaves)

@@ -14,7 +14,7 @@ from modbalance.feature_weighting import (
     map_attention,
     pool_attention,
 )
-from modbalance.tensor import Tensor
+from modbalance.tensor import Segments, Tensor
 
 from conftest import assert_grad_matches
 
@@ -95,12 +95,14 @@ def test_coefficients_reject_bad_dk():
 def test_pool_single_slice_is_identity():
     rng = np.random.default_rng(5)
     theta = Tensor(rng.random((1, 2, 2)))
-    assert np.array_equal(pool_attention(theta).data, theta.data[0])
+    pooled = pool_attention(theta, Segments([1])).data
+    assert np.array_equal(pooled, theta.data)
 
 
 def test_pool_uniform_input():
     theta = Tensor(np.full((4, 2, 2), 0.25))
-    assert np.abs(pool_attention(theta).data - 0.25).max() < 1e-12
+    pooled = pool_attention(theta, Segments([4])).data
+    assert np.abs(pooled - 0.25).max() < 1e-12
 
 
 def test_pool_matches_mean_oracle():
@@ -110,21 +112,23 @@ def test_pool_matches_mean_oracle():
     for i in range(2):
         for j in range(2):
             expected[i, j] = sum(theta.data[n, i, j] for n in range(4)) / 4
-    assert np.abs(pool_attention(theta).data - expected).max() < 1e-12
+    pooled = pool_attention(theta, Segments([4])).data
+    assert pooled.shape == (1, 2, 2)
+    assert np.abs(pooled[0] - expected).max() < 1e-12
 
 
 # --- feature attention ---
 
 def _random_pooled(rng, rank=2):
-    return {m: Tensor(rng.random((rank, rank))) for m in ("t", "a", "v")}
+    return {m: Tensor(rng.random((1, rank, rank))) for m in ("t", "a", "v")}
 
 
 def test_feature_attention_identity_chain():
     rng = np.random.default_rng(7)
     theta = Tensor(rng.random((3, 2, 2)))
-    pooled = {m: Tensor(np.eye(2)) for m in ("t", "a", "v")}
+    pooled = {m: Tensor(np.eye(2)[None]) for m in ("t", "a", "v")}
     out_map = Tensor(rng.standard_normal((4, 5)))
-    result = feature_attention(theta, pooled, out_map)
+    result = feature_attention(theta, pooled, out_map, Segments([3]))
     expected = theta.data.reshape(3, 4) @ out_map.data
     assert np.abs(result.data - expected).max() < 1e-12
 
@@ -133,7 +137,8 @@ def test_feature_attention_zero_propagates():
     rng = np.random.default_rng(8)
     theta = Tensor(np.zeros((3, 2, 2)))
     out_map = Tensor(rng.standard_normal((4, 5)))
-    result = feature_attention(theta, _random_pooled(rng), out_map)
+    result = feature_attention(theta, _random_pooled(rng), out_map,
+                               Segments([3]))
     assert np.array_equal(result.data, np.zeros((3, 5)))
 
 
@@ -142,7 +147,7 @@ def test_feature_attention_matches_composed_loop_oracle():
     theta = Tensor(rng.random((3, 2, 2)))
     pooled = _random_pooled(rng)
     out_map = Tensor(rng.standard_normal((4, 5)))
-    result = feature_attention(theta, pooled, out_map)
+    result = feature_attention(theta, pooled, out_map, Segments([3]))
 
     x = theta.data.copy()
     for m in ("t", "a", "v"):
@@ -151,7 +156,7 @@ def test_feature_attention_matches_composed_loop_oracle():
             for i in range(2):
                 for k in range(2):
                     nxt[d, i, k] = sum(
-                        x[d, i, j] * pooled[m].data[j, k] for j in range(2))
+                        x[d, i, j] * pooled[m].data[0, j, k] for j in range(2))
         x = nxt
     expected = x.reshape(3, 4) @ out_map.data
     assert np.abs(result.data - expected).max() < 1e-10
@@ -163,7 +168,8 @@ def test_feature_attention_requires_all_active_modalities():
     pooled = _random_pooled(rng)
     del pooled["a"]
     with pytest.raises(ShapeError, match="'a'"):
-        feature_attention(theta, pooled, Tensor(rng.standard_normal((4, 5))))
+        feature_attention(theta, pooled, Tensor(rng.standard_normal((4, 5))),
+                          Segments([3]))
 
 
 def test_cross_modal_coupling_has_nonzero_gradient():
@@ -173,7 +179,7 @@ def test_cross_modal_coupling_has_nonzero_gradient():
     pooled = _random_pooled(rng)
     pooled["a"] = Tensor(pooled["a"].data, requires_grad=True)
     out_map = Tensor(rng.standard_normal((4, 5)))
-    loss = feature_attention(theta, pooled, out_map).sum()
+    loss = feature_attention(theta, pooled, out_map, Segments([3])).sum()
     loss.backward()
     assert np.abs(pooled["a"].grad).max() > 0.0
 
@@ -182,12 +188,14 @@ def test_cross_modal_coupling_has_nonzero_gradient():
 def test_feature_attention_gradients(active):
     rng = np.random.default_rng(20 + len(active))
     theta = Tensor(rng.random((3, 2, 2)), requires_grad=True)
-    pooled = {m: Tensor(rng.random((2, 2)), requires_grad=True)
+    pooled = {m: Tensor(rng.random((1, 2, 2)), requires_grad=True)
               for m in active}
     out_map = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
     r = Tensor(rng.standard_normal((3, 5)))
+    segments = Segments([3])
     assert_grad_matches(
-        lambda: (feature_attention(theta, pooled, out_map, active) * r).sum(),
+        lambda: (feature_attention(theta, pooled, out_map, segments, active)
+                 * r).sum(),
         [theta, out_map, *pooled.values()])
 
 
@@ -202,7 +210,8 @@ def test_coefficient_pool_and_gate_gradients():
     g = Tensor(rng.standard_normal((3, 4)))
     assert_grad_matches(
         lambda: (attention_coefficients(q, k, d_k=4.0) * r).sum()
-        + (pool_attention(attention_coefficients(q, k, d_k=4.0)) * s).sum()
+        + (pool_attention(attention_coefficients(q, k, d_k=4.0), Segments([3]))
+           * s).sum()
         + (fuse_features(att, z, beta=0.3) * g).sum(),
         [q, k, att, z])
 
@@ -276,7 +285,7 @@ def test_forward_is_differentiable_end_to_end():
          for m in ("t", "a", "v")}
 
     def build():
-        state = forward(z, params, d_k=4.0, beta=0.5)
+        state = forward(z, params, d_k=4.0, beta=0.5, segments=Segments([2]))
         total = None
         for m in ("t", "a", "v"):
             term = (state.balanced[m] + state.mapped[m]).sum()
@@ -299,7 +308,8 @@ def test_forward_on_a_subset_is_differentiable(active):
     r = {m: Tensor(rng.standard_normal((3, 3))) for m in active}
 
     def build():
-        state = forward(z, params, d_k=4.0, beta=0.5, active=active)
+        state = forward(z, params, d_k=4.0, beta=0.5,
+                        segments=Segments([3]), active=active)
         total = Tensor(0.0)
         for m in active:
             term = (state.balanced[m] + state.mapped[m]) * r[m]
@@ -316,6 +326,9 @@ def test_forward_respects_modality_subset():
     params = {m: FeatureWeightParams(hidden=3, rank=2, rng=rng)
               for m in ("t", "a", "v")}
     z = {m: Tensor(rng.standard_normal((2, 3))) for m in ("t", "a")}
-    state = forward(z, params, d_k=4.0, beta=0.5, active=("t", "a"))
+    state = forward(z, params, d_k=4.0, beta=0.5, segments=Segments([2]),
+                    active=("t", "a"))
     assert set(state.balanced) == {"t", "a"}
     assert set(state.pooled) == {"t", "a"}
+    # one pooled matrix per conversation
+    assert state.pooled["t"].shape == (1, 2, 2)

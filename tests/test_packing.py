@@ -1,9 +1,9 @@
 """Packs: several conversations stacked row-wise in one training graph.
 
-A pack must give each conversation exactly what its own graph gives: the
-segment-aware ops keep conversations apart, the per-conversation encoder
-gradient rows match a graph per conversation, and their sum is the batch
-gradient.
+A pack must give each conversation exactly what it gives as a pack of its
+own: the segment-aware ops keep conversations apart, the per-conversation
+encoder gradient rows match a one-conversation pack each, and their sum is
+the batch gradient.
 """
 
 import numpy as np
@@ -65,17 +65,19 @@ VARIANTS = {
 
 def reference_gradients(model, batch, active):
     """Per-conversation encoder gradients, batch gradient and loss terms,
-    one graph per conversation."""
+    each conversation run as its own one-segment pack."""
     rows = np.zeros((len(batch), model.encoder_size))
     total = np.zeros_like(model.grad)
     terms = np.zeros((3, len(batch)))
     for i, conv in enumerate(batch):
         model.zero_grad()
-        out = model.forward(conv.features, active=active)
+        alone = Segments([conv.num_utterances])
+        out = model.forward(conv.features, active=active, segments=alone)
         feature = (Tensor(0.0) if out.afw_state is None else
-                   feature_loss(out.afw_state.attention, out.afw_state.mapped))
-        parts = (cls_loss(out.outputs, conv.labels), feature,
-                 modal_loss(out.fused, conv.labels))
+                   feature_loss(out.afw_state.attention, out.afw_state.mapped,
+                                alone))
+        parts = (cls_loss(out.outputs, conv.labels, alone), feature,
+                 modal_loss(out.fused, conv.labels, alone))
         terms[:, i] = [t.item() for t in parts]
         main_loss(*parts).backward()
         rows[i] = model.grad[:model.encoder_size]
@@ -132,6 +134,11 @@ def pack_rows(rng, shape):
     return rng.standard_normal((sum(LENGTHS),) + shape), Segments(LENGTHS)
 
 
+def one_conversation(rows):
+    """The segments of ``rows`` run as a pack of their own."""
+    return Segments([rows.stop - rows.start])
+
+
 def attention_block(rng, hidden=8):
     return EncoderParams(4, EncoderConfig(hidden=hidden, layers=1, heads=2,
                                           ffn=8), rng).blocks[0]
@@ -143,7 +150,8 @@ def test_packed_attention_attends_within_each_conversation():
     x, segments = pack_rows(rng, (8,))
     packed = _self_attention(Tensor(x), block, 2, segments).data
     for rows in segments.slices:
-        alone = _self_attention(Tensor(x[rows]), block, 2).data
+        alone = _self_attention(Tensor(x[rows]), block, 2,
+                                one_conversation(rows)).data
         assert np.abs(packed[rows] - alone).max() < 1e-13
 
 
@@ -165,12 +173,13 @@ def test_packed_pooling_and_contraction_per_conversation():
     out_map = Tensor(rng.standard_normal((4, 5)))
     stacks = {m: Tensor(rng.random((3, 2, 2))) for m in ("t", "a")}
     attention = feature_attention(Tensor(coefficients), stacks, out_map,
-                                  ("t", "a"), segments).data
+                                  segments, ("t", "a")).data
     for j, rows in enumerate(segments.slices):
-        alone = Tensor(coefficients[rows])
-        assert np.abs(pooled[j] - pool_attention(alone).data).max() < 1e-15
-        own = {m: Tensor(s.data[j]) for m, s in stacks.items()}
-        expected = feature_attention(alone, own, out_map, ("t", "a")).data
+        alone, one = Tensor(coefficients[rows]), one_conversation(rows)
+        own_pooled = pool_attention(alone, one).data[0]
+        assert np.abs(pooled[j] - own_pooled).max() < 1e-15
+        own = {m: Tensor(s.data[j:j + 1]) for m, s in stacks.items()}
+        expected = feature_attention(alone, own, out_map, one, ("t", "a")).data
         assert np.abs(attention[rows] - expected).max() < 1e-13
 
 
@@ -184,8 +193,8 @@ def test_packed_pooling_and_contraction_gradients():
 
     def build():
         pooled = {"t": pool_attention(coefficients, segments), "a": other}
-        return (feature_attention(coefficients, pooled, out_map, ("t", "a"),
-                                  segments) * r).sum()
+        return (feature_attention(coefficients, pooled, out_map, segments,
+                                  ("t", "a")) * r).sum()
 
     assert_grad_matches(build, [coefficients, other, out_map])
 
@@ -198,9 +207,11 @@ def test_packed_losses_are_each_conversations_loss():
     ce = cls_loss(Tensor(logits), labels, segments).data
     gap = feature_loss({"t": Tensor(att)}, {"t": Tensor(hat)}, segments).data
     for j, rows in enumerate(segments.slices):
-        assert ce[j] == cls_loss(Tensor(logits[rows]), labels[rows]).item()
+        one = one_conversation(rows)
+        assert ce[j] == cls_loss(Tensor(logits[rows]), labels[rows],
+                                 one).item()
         assert gap[j] == feature_loss({"t": Tensor(att[rows])},
-                                      {"t": Tensor(hat[rows])}).item()
+                                      {"t": Tensor(hat[rows])}, one).item()
 
 
 def test_packed_loss_gradients():

@@ -506,3 +506,38 @@ def test_divergence_names_step_conversation_and_term():
     assert str(info.value) == (f"step 3, conversation {bad.id}: cls loss is "
                                "not finite: nan")
     assert len(traces) == 2
+
+
+@pytest.mark.parametrize("block, row", [("encoder.t.block0.w1", 1),
+                                        ("classifier.w2", None)])
+def test_non_finite_gradient_names_step_conversation_and_block(
+        monkeypatch, block, row):
+    # a NaN planted after step 3's backward, in the batch gradient and, for
+    # an encoder block, in the second conversation's encoder gradient row
+    data = tiny_data(conversations=6)
+    config = OptimizerConfig(learning_rate=0.1, epochs=2, batch_size=2,
+                             noise=True, seed=5)
+    model = tiny_model(seed=18)
+    index = model.offsets[list(model.named_parameters()).index(block)] + 1
+    original = training.backward_batch
+    before = []
+
+    def planted(model, batch, conv_grads, active, dropout_rng, step):
+        result = original(model, batch, conv_grads, active, dropout_rng, step)
+        if step == 3:
+            before.append(model.theta.copy())
+            model.grad[index] = float("nan")
+            if row is not None:
+                conv_grads[row, index] = float("nan")
+        return result
+
+    monkeypatch.setattr(training, "backward_batch", planted)
+    traces = []
+    with pytest.raises(DivergenceError) as info:
+        train(model, data, config, trace_sink=traces)
+    bad = batches(data, config.batch_size, seed=config.seed + 1)[2]
+    where = "" if row is None else f", conversation {bad[row].id}"
+    assert str(info.value) == (f"step 3{where}: non-finite gradient in "
+                               f"{block}")
+    assert np.array_equal(model.theta, before[0])  # the step was not taken
+    assert len(traces) == 2
