@@ -207,13 +207,28 @@ def save(dataset, path):
 
 def from_payload(payload):
     try:
-        num_classes = int(payload["num_classes"])
-        dims = {m: int(payload["dims"][m]) for m in MODALITIES}
+        num_classes = payload["num_classes"]
+        dims = {m: payload["dims"][m] for m in MODALITIES}
     except (KeyError, TypeError) as exc:
         raise DatasetError(f"dataset header is malformed: missing {exc}") from exc
+    header = {"num_classes": (num_classes, 2),
+              **{f"dims.{m}": (dim, 1) for m, dim in dims.items()}}
+    for what, (value, low) in header.items():
+        check_value(value, int, f"dataset header: {what}", DatasetError)
+        if value < low:
+            raise DatasetError(
+                f"dataset header: {what} must be >= {low}, got {value}")
+    entries = payload.get("conversations", [])
+    if not isinstance(entries, list):
+        raise DatasetError(f"dataset conversations must be a list, got "
+                           f"{type(entries).__name__}")
     conversations = []
-    for entry in payload.get("conversations", []):
-        cid = str(entry.get("id", f"conv{len(conversations):04d}"))
+    for entry in entries:
+        cid = f"conv{len(conversations):04d}"
+        if not isinstance(entry, dict):
+            raise DatasetError(f"conversation {cid}: must be an object, got "
+                               f"{type(entry).__name__}")
+        cid = str(entry.get("id", cid))
         if "labels" not in entry:
             raise DatasetError(f"conversation {cid}: missing labels")
         labels = entry["labels"]
@@ -233,7 +248,10 @@ def from_payload(payload):
                     raise DatasetError(
                         f"conversation {cid}: modality {m!r} utterance rows "
                         f"are ragged or do not match {len(labels)} labels")
-                arr = np.asarray(rows, dtype=np.float64)
+                arr = np.asarray(rows)
+                if arr.dtype.kind not in "iuf":
+                    raise TypeError(f"got {arr.dtype} values")
+                arr = arr.astype(np.float64, copy=False)
             except (TypeError, ValueError) as exc:
                 raise DatasetError(
                     f"conversation {cid}: modality {m!r} rows are not lists "
@@ -242,8 +260,6 @@ def from_payload(payload):
                 raise DatasetError(
                     f"conversation {cid}: modality {m!r} has non-finite "
                     "features")
-            if arr.ndim == 1:  # zero utterances; keep a (0, d) shape
-                arr = arr.reshape(0, dims[m])
             features[m] = arr
         conversations.append(Conversation(id=cid, features=features, labels=labels))
     if not conversations:

@@ -37,17 +37,16 @@ def check_keys(payload, known, what):
         raise ConfigError(f"unknown {what}: {sorted(unknown)}")
 
 
-def check_value(value, expected, what):
-    """Raise ConfigError naming ``what`` unless ``value`` is of type
+def check_value(value, expected, what, error=ConfigError):
+    """Raise ``error`` naming ``what`` unless ``value`` is of type
     ``expected`` and, for a float, finite. A bool is not a number; an int
     is a valid float."""
     accepted = (int, float) if expected is float else expected
     if (not isinstance(value, accepted)
             or isinstance(value, bool) != (expected is bool)):
-        raise ConfigError(
-            f"{what} must be {expected.__name__}, got {value!r}")
+        raise error(f"{what} must be {expected.__name__}, got {value!r}")
     if expected is float and not math.isfinite(value):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
+        raise error(f"{what} must be finite, got {value!r}")
 
 
 def check_fields(payload, cls, what):

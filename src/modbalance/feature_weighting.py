@@ -60,11 +60,8 @@ class FeatureWeightParams:
 
 @dataclass
 class AfwState:
-    """Everything the feature-weighting pass produces for one conversation."""
+    """The feature-weighting outputs of a pack, keyed by modality."""
 
-    cores_q: dict  # modality -> (N, r, r)
-    cores_k: dict
-    coefficients: dict  # modality -> (N, r, r) probability slices
     pooled: dict  # modality -> (S, r, r), one per conversation
     attention: dict  # modality -> (N, h)
     mapped: dict  # modality -> (N, h) mapper predictions
@@ -197,12 +194,12 @@ def map_attention(z, params):
 def forward(z, params, d_k, beta, segments, active=MODALITIES):
     """Run the full feature-weighting pass for all active modalities, on
     the conversations that ``segments`` describes."""
-    cores_q, cores_k, coefficients, pooled = {}, {}, {}, {}
+    coefficients, pooled = {}, {}
     for m in active:
         p = params[m]
-        cores_q[m] = make_cores(z[m], p.query1, p.query2)
-        cores_k[m] = make_cores(z[m], p.key1, p.key2)
-        coefficients[m] = attention_coefficients(cores_q[m], cores_k[m], d_k)
+        coefficients[m] = attention_coefficients(
+            make_cores(z[m], p.query1, p.query2),
+            make_cores(z[m], p.key1, p.key2), d_k)
         pooled[m] = pool_attention(coefficients[m], segments)
     attention, mapped, balanced = {}, {}, {}
     for m in active:
@@ -210,6 +207,5 @@ def forward(z, params, d_k, beta, segments, active=MODALITIES):
                                          params[m].out, segments, active)
         mapped[m] = map_attention(z[m], params[m])
         balanced[m] = fuse_features(attention[m], z[m], beta)
-    return AfwState(cores_q=cores_q, cores_k=cores_k,
-                    coefficients=coefficients, pooled=pooled,
-                    attention=attention, mapped=mapped, balanced=balanced)
+    return AfwState(pooled=pooled, attention=attention, mapped=mapped,
+                    balanced=balanced)

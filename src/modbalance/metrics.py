@@ -6,7 +6,6 @@ denominator is defined as 0 so runs that never predict some class remain
 comparable.
 """
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -87,6 +86,3 @@ class EvalReport:
 
     def to_dict(self):
         return asdict(self)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)

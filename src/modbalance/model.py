@@ -83,9 +83,7 @@ class ModelConfig:
 class ForwardPass:
     """Everything one forward pass (a conversation or a pack) produces."""
 
-    z: dict  # modality -> (N, h) hidden states
     afw_state: object  # feature_weighting.AfwState, or None when disabled
-    balanced: dict  # modality -> (N, h) features entering fusion
     fused: Tensor  # (N, |E|) fused logits
     contributions: dict  # modality -> (N, |E|) bias-free fusion terms
     outputs: Tensor  # (N, |E|) classifier logits
@@ -196,9 +194,8 @@ class Model:
             balanced, self.head, active=active,
             normalized=not self.config.disable_amw)
         outputs = classify(fused, self.classifier)
-        return ForwardPass(z=z, afw_state=state, balanced=balanced,
-                           fused=fused, contributions=contributions,
-                           outputs=outputs)
+        return ForwardPass(afw_state=state, fused=fused,
+                           contributions=contributions, outputs=outputs)
 
     def weight_norms(self, active=MODALITIES):
         return weight_norm_trace(self.head, active=active)

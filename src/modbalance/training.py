@@ -17,9 +17,12 @@ each, as Krell et al. pack sequences, arXiv:2107.02027), stacks each
 pack's utterances row-wise, and runs one forward and one backward per
 pack. The non-encoder gradients accumulate in ``model.grad``. The encoder
 nodes write each conversation's encoder gradient into its row of one
-(batch_size, encoder_size) matrix that ``train`` allocates once; the sum
-of its rows is the encoder part of the batch gradient, and each
-modality's columns feed the noise estimate.
+(batch_size, encoder_size) matrix that ``train`` allocates once.
+
+So a step is: ``backward_batch`` (every pack's forward and backward, then
+the sum of the rows into ``model.grad``), ``checked_noise_std`` (a
+DivergenceError on a non-finite gradient, else each modality's noise
+scale from its columns of the rows), then ``apply_update``, the step.
 """
 
 import logging
@@ -167,13 +170,9 @@ def apply_update(model, grads, eta, k=None, noise_std=None, rng=None):
     ``k`` maps modalities to the coefficient of their encoder span, and
     ``noise_std`` (optional) to per-parameter standard deviations there,
     drawn in the order of ``k``; all else takes plain SGD steps. With k=1
-    and no noise this is bit-identical to vanilla SGD.
+    and no noise this is bit-identical to vanilla SGD. ``grads`` must be
+    finite (``checked_noise_std`` checks it).
     """
-    bad = np.flatnonzero(~np.isfinite(grads))
-    if bad.size:  # name the block through the registry offsets
-        block = np.searchsorted(model.offsets, bad[0], "right") - 1
-        raise DivergenceError(f"non-finite gradient in "
-                              f"{list(model.named_parameters())[block]}")
     step = eta * grads
     for m, k_m in (k or {}).items():
         span = model.encoder_spans[m]
@@ -255,11 +254,49 @@ def backward_batch(model, batch, conv_grads, active=MODALITIES,
         labels.append(pack_labels)
         terms.append(values)
         first = last
-    encoder_grad = model.grad[:model.encoder_size]
-    for row in conv_grads[:len(batch)]:  # in conversation order
-        encoder_grad += row
+    # adds the rows one by one, in conversation order
+    np.sum(conv_grads[:len(batch)], axis=0,
+           out=model.grad[:model.encoder_size])
     return ({m: np.concatenate(score_logits[m]) for m in active},
             np.concatenate(labels), np.hstack(terms))
+
+
+def checked_noise_std(model, batch, conv_grads, step, active, noise):
+    """Check a step's gradients, then return its noise scale.
+
+    A non-finite entry of ``model.grad`` raises a DivergenceError naming
+    the step, the first such block and, when a row of ``conv_grads`` is
+    non-finite, the first such conversation of ``batch``. Without
+    ``noise`` the scale is None; otherwise ``_noise_std`` of each active
+    modality's columns of the batch's rows.
+    """
+    rows = conv_grads[:len(batch)]
+    finite = np.isfinite(model.grad)
+    if not finite.all():  # argmin finds the first False
+        block = list(model.named_parameters())[
+            np.searchsorted(model.offsets, finite.argmin(), "right") - 1]
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        at = f", conversation {batch[bad[0]].id}" if bad.size else ""
+        raise DivergenceError(f"step {step}{at}: non-finite gradient in "
+                              f"{block}")
+    if not noise:
+        return None
+    return _noise_std({m: rows[:, model.encoder_spans[m]] for m in active})
+
+
+def _noise_std(rows):
+    """Per-parameter noise scale for each modulated encoder span.
+
+    ``rows`` maps modalities to finite (B, P_m) matrices of per-conversation
+    encoder gradients. The scale is the diagonal std of the minibatch mean
+    gradient, i.e. the sample standard deviation of each parameter's
+    gradient across the conversations divided by sqrt(B); this matches the
+    sampling noise the SGD estimate already carries. A batch of one
+    conversation gets zero noise.
+    """
+    return {m: (r.std(axis=0, ddof=1) / np.sqrt(len(r)) if len(r) > 1
+                else np.zeros(r.shape[1]))
+            for m, r in rows.items()}
 
 
 def evaluate(model, conversations, active=MODALITIES):
@@ -280,11 +317,12 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
 
     Per minibatch, pack by pack: encode, feature-weight, fuse, classify,
     compute the three losses per conversation and backpropagate the pack's
-    total. Then average the gradients, derive balance scores / ratios /
-    modulation coefficients, and update encoder blocks with modulated
-    (optionally noisy) SGD and everything else with plain SGD. Appends one
-    StepTrace per step to ``trace_sink`` (or an internal list) and
-    evaluates ``eval_data`` once per epoch.
+    total. Then check the gradients and take the noise scale, average the
+    gradients, derive balance scores / ratios / modulation coefficients,
+    and update encoder blocks with modulated (optionally noisy) SGD and
+    everything else with plain SGD. Appends one StepTrace per step to
+    ``trace_sink`` (or an internal list) and evaluates ``eval_data`` once
+    per epoch.
     """
     config.validate()
     active = tuple(active)
@@ -304,28 +342,17 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
             step += 1
             stacked, all_labels, terms = backward_batch(
                 model, batch, conv_grads, active, dropout_rng, step)
-            batch_size = len(batch)
-            grads = model.grad / batch_size
+            noise_std = checked_noise_std(model, batch, conv_grads, step,
+                                          active, use_noise)
+            grads = model.grad / len(batch)
             scores = {m: unimodal_score(stacked[m], all_labels) for m in active}
             ratios = discrepancy_ratio(scores)
             if config.disable_modulation:
                 coefficients = {m: 1.0 for m in active}
             else:
                 coefficients = modulation_coefficient(ratios, config.alpha)
-
-            noise_std = (_noise_std({m: conv_grads[:batch_size,
-                                                   model.encoder_spans[m]]
-                                     for m in active})
-                         if use_noise else None)
-            try:
-                apply_update(model, grads, config.learning_rate,
-                             k=coefficients, noise_std=noise_std,
-                             rng=noise_rng)
-            except DivergenceError as exc:  # name the step and conversation
-                bad = np.flatnonzero(
-                    ~np.isfinite(conv_grads[:batch_size]).all(axis=1))
-                at = f", conversation {batch[bad[0]].id}" if bad.size else ""
-                raise DivergenceError(f"step {step}{at}: {exc}") from exc
+            apply_update(model, grads, config.learning_rate,
+                         k=coefficients, noise_std=noise_std, rng=noise_rng)
 
             losses = LossBreakdown.from_parts(
                 *(float(np.mean(term)) for term in terms))
@@ -346,18 +373,3 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
                 result.best_weighted_f1 = report.weighted_f1
                 result.best_epoch = epoch
     return result
-
-
-def _noise_std(rows):
-    """Per-parameter noise scale for each modulated encoder span.
-
-    ``rows`` maps modalities to (B, P_m) matrices of per-conversation
-    encoder gradients. The scale is the diagonal std of the minibatch mean
-    gradient, i.e. the sample standard deviation of each parameter's
-    gradient across the conversations divided by sqrt(B); this matches the
-    sampling noise the SGD estimate already carries. A batch of one
-    conversation gets zero noise.
-    """
-    return {m: (r.std(axis=0, ddof=1) / np.sqrt(len(r)) if len(r) > 1
-                else np.zeros(r.shape[1]))
-            for m, r in rows.items()}

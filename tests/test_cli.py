@@ -125,6 +125,9 @@ BAD_INPUTS = {
         tmp_path, bad_dataset(t=[[float("inf")] * 6] * 2)), "c0"),
     "dataset_fractional_label": (lambda tmp_path: with_dataset(
         tmp_path, bad_dataset(labels=[0, 1.7])), "c0"),
+    "dataset_conversations_not_a_list": (lambda tmp_path: with_dataset(
+        tmp_path, {**bad_dataset(), "conversations": {"a": 1}}),
+        "conversations"),
     **{f"run_config_sets_{option}": (
         lambda tmp_path, section=section, option=option, value=value:
         train_argv(tmp_path, {section: {option: value}}), option)

@@ -212,21 +212,48 @@ def test_minimal_single_utterance_fixture():
     assert data.conversations[0].labels[0] == 1
 
 
+def one_utterance_payload(**fields):
+    """A one-conversation dataset payload, its entry updated by ``fields``,
+    after a JSON round trip."""
+    entry = {"id": "c7", "labels": [1],
+             "t": [[0.5, -0.5]], "a": [[1.0, 0.0]], "v": [[0.0, 1.0]]}
+    entry.update(fields)
+    payload = {"num_classes": 2, "dims": {"t": 2, "a": 2, "v": 2},
+               "conversations": [entry]}
+    return json.loads(json.dumps(payload))
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("a", [[float("nan"), 0.0]], "non-finite"),
     ("v", [[float("inf"), 0.0]], "non-finite"),
     ("labels", [1.7], "labels must be a list of integers"),
     ("labels", [True], "labels must be a list of integers"),
     ("t", [["x", 0.0]], "not lists of numbers"),
+    ("t", [["1", 0.0]], "not lists of numbers"),
+    ("a", [[True, False]], "not lists of numbers"),
 ])
 def test_load_rejects_bad_values_naming_the_conversation(field, value, message):
-    entry = {"id": "c7", "labels": [1],
-             "t": [[0.5, -0.5]], "a": [[1.0, 0.0]], "v": [[0.0, 1.0]]}
-    entry[field] = value
-    payload = {"num_classes": 2, "dims": {"t": 2, "a": 2, "v": 2},
-               "conversations": [entry]}
     with pytest.raises(DatasetError, match=f"conversation c7: .*{message}"):
-        from_payload(json.loads(json.dumps(payload)))
+        from_payload(one_utterance_payload(**{field: value}))
+
+
+@pytest.mark.parametrize("header, message", [
+    ({"num_classes": 3.9}, "num_classes must be int, got 3.9"),
+    ({"num_classes": "3"}, "num_classes must be int, got '3'"),
+    ({"num_classes": True}, "num_classes must be int, got True"),
+    ({"num_classes": 1}, "num_classes must be >= 2, got 1"),
+    ({"dims": {"t": "2", "a": 2, "v": 2}}, "dims.t must be int, got '2'"),
+    ({"dims": {"t": 2, "a": 2.5, "v": 2}}, "dims.a must be int, got 2.5"),
+    ({"dims": {"t": 2, "a": 2, "v": 0}}, "dims.v must be >= 1, got 0"),
+    ({"conversations": {"a": 1}}, "conversations must be a list, got dict"),
+    ({"conversations": [5]}, "conversation conv0000: must be an object, "
+                             "got int"),
+])
+def test_load_rejects_bad_header_naming_the_field(header, message):
+    payload = {**one_utterance_payload(), **header}
+    with pytest.raises(DatasetError) as info:
+        from_payload(payload)
+    assert message in str(info.value)
 
 
 # --- batching ---

@@ -110,7 +110,7 @@ def test_eval_report_round_trips_as_json():
     preds = rng.integers(0, 3, size=25)
     labels = rng.integers(0, 3, size=25)
     report = EvalReport.from_predictions(preds, labels, 3)
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert payload["accuracy"] == report.accuracy
     assert payload["weighted_f1"] == report.weighted_f1
     assert np.array(payload["confusion"]).sum() == 25

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from modbalance.training import (
     OptimizerConfig,
     TRACE_HEADER,
     apply_update,
+    checked_noise_std,
     discrepancy_ratio,
     evaluate,
     modulation_coefficient,
@@ -158,15 +160,16 @@ def test_update_noise_is_seed_reproducible():
     assert np.array_equal(results[0], results[1])
 
 
-def test_update_rejects_non_finite_gradient():
+def test_gradient_check_rejects_non_finite_gradient():
     model = tiny_model()
     names = list(model.named_parameters())
-    g = np.zeros_like(model.theta)
     for name in ("encoder.t.block0.w1", "classifier.w2"):
-        g[model.offsets[names.index(name)] + 1] = float("nan")
+        model.grad[model.offsets[names.index(name)] + 1] = float("nan")
+    batch = tiny_data(conversations=2)
+    conv_grads = np.zeros((len(batch), model.encoder_size))
     start = model.theta.copy()
     with pytest.raises(DivergenceError, match="encoder.t.block0.w1"):
-        apply_update(model, g, eta=0.1)
+        checked_noise_std(model, batch, conv_grads, 1, MODS, True)
     assert np.array_equal(model.theta, start)
 
 
@@ -508,6 +511,26 @@ def test_divergence_names_step_conversation_and_term():
     assert len(traces) == 2
 
 
+def plant_after_backward(monkeypatch, step, index, row, value):
+    """Make ``train``'s backward of ``step`` end with ``value`` at ``index``
+    of the batch gradient and, unless ``row`` is None, of that row of the
+    encoder gradient rows; returns a list that receives theta as it was."""
+    original = training.backward_batch
+    before = []
+
+    def planted(model, batch, conv_grads, active, dropout_rng, at):
+        result = original(model, batch, conv_grads, active, dropout_rng, at)
+        if at == step:
+            before.append(model.theta.copy())
+            model.grad[index] = value
+            if row is not None:
+                conv_grads[row, index] = value
+        return result
+
+    monkeypatch.setattr(training, "backward_batch", planted)
+    return before
+
+
 @pytest.mark.parametrize("block, row", [("encoder.t.block0.w1", 1),
                                         ("classifier.w2", None)])
 def test_non_finite_gradient_names_step_conversation_and_block(
@@ -519,19 +542,7 @@ def test_non_finite_gradient_names_step_conversation_and_block(
                              noise=True, seed=5)
     model = tiny_model(seed=18)
     index = model.offsets[list(model.named_parameters()).index(block)] + 1
-    original = training.backward_batch
-    before = []
-
-    def planted(model, batch, conv_grads, active, dropout_rng, step):
-        result = original(model, batch, conv_grads, active, dropout_rng, step)
-        if step == 3:
-            before.append(model.theta.copy())
-            model.grad[index] = float("nan")
-            if row is not None:
-                conv_grads[row, index] = float("nan")
-        return result
-
-    monkeypatch.setattr(training, "backward_batch", planted)
+    before = plant_after_backward(monkeypatch, 3, index, row, float("nan"))
     traces = []
     with pytest.raises(DivergenceError) as info:
         train(model, data, config, trace_sink=traces)
@@ -541,3 +552,21 @@ def test_non_finite_gradient_names_step_conversation_and_block(
                                f"{block}")
     assert np.array_equal(model.theta, before[0])  # the step was not taken
     assert len(traces) == 2
+
+
+def test_infinite_gradient_is_checked_before_the_noise_scale(monkeypatch):
+    # an inf in a conversation's row would make the noise std subtract inf
+    # from inf; the check must raise first, without a RuntimeWarning
+    data = tiny_data(conversations=6)
+    config = OptimizerConfig(learning_rate=0.1, epochs=1, batch_size=2,
+                             noise=True, seed=5)
+    model = tiny_model(seed=18)
+    before = plant_after_backward(monkeypatch, 2, 5, 0, float("inf"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            train(model, data, config)
+    bad = batches(data, config.batch_size, seed=config.seed + 1)[1]
+    assert str(info.value) == (f"step 2, conversation {bad[0].id}: "
+                               "non-finite gradient in encoder.t.in_proj.w")
+    assert np.array_equal(model.theta, before[0])
