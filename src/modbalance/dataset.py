@@ -31,40 +31,12 @@ class Conversation:
     def num_utterances(self):
         return len(self.labels)
 
-    def validate(self, num_classes, dims):
-        n = len(self.labels)
-        if n < 1:
-            raise DatasetError(f"conversation {self.id}: no utterances")
-        for m in MODALITIES:
-            if m not in self.features:
-                raise DatasetError(f"conversation {self.id}: missing modality {m!r}")
-            feats = self.features[m]
-            if feats.ndim != 2 or feats.shape[0] != n:
-                raise DatasetError(
-                    f"conversation {self.id}: modality {m!r} has "
-                    f"{feats.shape[0] if feats.ndim == 2 else 'ragged'} rows, "
-                    f"expected {n}")
-            if feats.shape[1] != dims[m]:
-                raise DatasetError(
-                    f"conversation {self.id}: modality {m!r} has dim "
-                    f"{feats.shape[1]}, expected {dims[m]}")
-        bad = [int(y) for y in self.labels if y < 0 or y >= num_classes]
-        if bad:
-            raise DatasetError(
-                f"conversation {self.id}: label {bad[0]} outside "
-                f"[0, {num_classes})")
-
 
 @dataclass
 class Dataset:
     num_classes: int
     dims: dict  # modality -> feature dim
     conversations: list
-
-    def validate(self):
-        for conv in self.conversations:
-            conv.validate(self.num_classes, self.dims)
-        return self
 
     @property
     def num_utterances(self):
@@ -180,6 +152,8 @@ def generate(spec):
 # {"num_classes": int, "dims": {"t": int, "a": int, "v": int},
 #  "conversations": [{"id": str, "labels": [int],
 #                     "t": [[f64]], "a": [[f64]], "v": [[f64]]}]}
+# Ids are unique strings (conv<index:04d> if absent). Each label is an int in
+# [0, num_classes), and each feature a finite number, never a boolean.
 
 def to_payload(dataset):
     return {
@@ -206,6 +180,8 @@ def save(dataset, path):
 
 
 def from_payload(payload):
+    """Build a Dataset from a parsed file: the one place a file is checked,
+    in one pass in file order, so an error names the first bad conversation."""
     try:
         num_classes = payload["num_classes"]
         dims = {m: payload["dims"][m] for m in MODALITIES}
@@ -222,50 +198,59 @@ def from_payload(payload):
     if not isinstance(entries, list):
         raise DatasetError(f"dataset conversations must be a list, got "
                            f"{type(entries).__name__}")
-    conversations = []
-    for entry in entries:
-        cid = f"conv{len(conversations):04d}"
+    if not entries:
+        raise DatasetError("dataset contains no conversations")
+
+    def bad(problem):  # names the conversation the loop is at
+        return DatasetError(f"conversation {cid}: {problem}")
+    conversations, seen = [], {}
+    for i, entry in enumerate(entries):
+        cid = f"conv{i:04d}"
         if not isinstance(entry, dict):
-            raise DatasetError(f"conversation {cid}: must be an object, got "
-                               f"{type(entry).__name__}")
-        cid = str(entry.get("id", cid))
-        if "labels" not in entry:
-            raise DatasetError(f"conversation {cid}: missing labels")
-        labels = entry["labels"]
-        if (not isinstance(labels, list)
-                or not all(type(y) is int for y in labels)):
+            raise bad(f"must be an object, got {type(entry).__name__}")
+        cid = entry.get("id", cid)
+        if not isinstance(cid, str):
             raise DatasetError(
-                f"conversation {cid}: labels must be a list of integers")
-        labels = np.asarray(labels, dtype=np.int64)
+                f"conversation {i}: id must be a string, got {cid!r}")
+        if cid in seen:
+            raise DatasetError(f"conversation {i}: id {cid!r} repeats "
+                               f"conversation {seen[cid]}")
+        seen[cid] = i
+        labels = entry.get("labels")
+        if not isinstance(labels, list) or set(map(type, labels)) - {int}:
+            raise bad("labels must be a list of integers")
+        if not labels:
+            raise bad("no utterances")
+        for y in (min(labels), max(labels)):
+            if not 0 <= y < num_classes:
+                raise bad(f"label {y} outside [0, {num_classes})")
         features = {}
         for m in MODALITIES:
             if m not in entry:
-                raise DatasetError(f"conversation {cid}: missing modality {m!r}")
+                raise bad(f"missing modality {m!r}")
             rows = entry[m]
             try:
-                widths = {len(r) for r in rows}
-                if len(rows) != len(labels) or len(widths) > 1:
-                    raise DatasetError(
-                        f"conversation {cid}: modality {m!r} utterance rows "
-                        f"are ragged or do not match {len(labels)} labels")
                 arr = np.asarray(rows)
                 if arr.dtype.kind not in "iuf":
                     raise TypeError(f"got {arr.dtype} values")
-                arr = arr.astype(np.float64, copy=False)
+                if arr.shape != (len(labels), dims[m]):
+                    raise bad(f"modality {m!r} has shape {arr.shape}, "
+                              f"expected ({len(labels)}, {dims[m]})")
+                # numpy reads a boolean among numbers as 0 or 1
+                zero_one = (arr == 0) | (arr == 1)
+                if zero_one.any() and any(type(rows[r][c]) is bool
+                                          for r, c in np.argwhere(zero_one)):
+                    raise TypeError("got a boolean")
             except (TypeError, ValueError) as exc:
-                raise DatasetError(
-                    f"conversation {cid}: modality {m!r} rows are not lists "
-                    f"of numbers ({exc})") from exc
+                raise bad(f"modality {m!r} rows are not lists of numbers "
+                          f"({exc})") from exc
             if not np.isfinite(arr).all():
-                raise DatasetError(
-                    f"conversation {cid}: modality {m!r} has non-finite "
-                    "features")
-            features[m] = arr
-        conversations.append(Conversation(id=cid, features=features, labels=labels))
-    if not conversations:
-        raise DatasetError("dataset contains no conversations")
+                raise bad(f"modality {m!r} has non-finite features")
+            features[m] = arr.astype(np.float64, copy=False)
+        conversations.append(Conversation(
+            id=cid, features=features, labels=np.array(labels, np.int64)))
     return Dataset(num_classes=num_classes, dims=dims,
-                   conversations=conversations).validate()
+                   conversations=conversations)
 
 
 def load(path):

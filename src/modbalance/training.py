@@ -15,12 +15,13 @@ A step does not build a graph per conversation. It splits the minibatch
 into packs of consecutive conversations (at most ``PACK_ROWS`` utterances
 each, as Krell et al. pack sequences, arXiv:2107.02027), stacks each
 pack's utterances row-wise, and runs one forward and one backward per
-pack. The non-encoder gradients accumulate in ``model.grad``. The encoder
-nodes write each conversation's encoder gradient into its row of one
-(batch_size, encoder_size) matrix that ``train`` allocates once.
+pack. The non-encoder gradients accumulate in ``model.grad``. When noise
+is drawn, the encoder nodes write each conversation's encoder gradient
+into its row of one (batch_size, encoder_size) matrix that ``train``
+allocates once; otherwise they too accumulate in ``model.grad``.
 
 So a step is: ``backward_batch`` (every pack's forward and backward, then
-the sum of the rows into ``model.grad``), ``checked_noise_std`` (a
+the sum of any rows into ``model.grad``), ``checked_noise_std`` (a
 DivergenceError on a non-finite gradient, else each modality's noise
 scale from its columns of the rows), then ``apply_update``, the step.
 """
@@ -227,25 +228,27 @@ def _pack_losses(model, pack, segments, active, dropout_rng, step):
     return out, labels, values, total
 
 
-def backward_batch(model, batch, conv_grads, active=MODALITIES,
+def backward_batch(model, batch, conv_grads=None, active=MODALITIES,
                    dropout_rng=None, step=0):
     """Forward and backward ``batch``, one graph per pack.
 
-    Afterwards ``model.grad`` holds the gradient summed over the batch, and
-    row i of ``conv_grads``, a (>= len(batch), encoder_size) matrix,
-    conversation i's encoder gradient. Returns each active modality's
-    balance-score logits and the labels, over the batch's utterances, and
-    the (3, B) loss terms of its conversations.
+    Afterwards ``model.grad`` holds the gradient summed over the batch and,
+    if ``conv_grads`` (a (>= len(batch), encoder_size) matrix) is given,
+    its row i conversation i's encoder gradient. Returns each active
+    modality's balance-score logits and the labels, over the batch's
+    utterances, and the (3, B) loss terms of its conversations.
     """
     model.zero_grad()
-    conv_grads[:len(batch)] = 0.0
+    if conv_grads is not None:
+        conv_grads[:len(batch)] = 0.0
     score_logits = {m: [] for m in active}
     labels, terms = [], []
     first = 0
     for pack in packs(batch):
         last = first + len(pack)
-        segments = Segments([c.num_utterances for c in pack],
-                            model.encoder_grad_rows(conv_grads[first:last]))
+        rows = (None if conv_grads is None
+                else model.encoder_grad_rows(conv_grads[first:last]))
+        segments = Segments([c.num_utterances for c in pack], rows)
         out, pack_labels, values, total = _pack_losses(
             model, pack, segments, active, dropout_rng, step)
         total.backward()
@@ -254,9 +257,9 @@ def backward_batch(model, batch, conv_grads, active=MODALITIES,
         labels.append(pack_labels)
         terms.append(values)
         first = last
-    # adds the rows one by one, in conversation order
-    np.sum(conv_grads[:len(batch)], axis=0,
-           out=model.grad[:model.encoder_size])
+    if conv_grads is not None:  # adds the rows one by one, in order
+        np.sum(conv_grads[:len(batch)], axis=0,
+               out=model.grad[:model.encoder_size])
     return ({m: np.concatenate(score_logits[m]) for m in active},
             np.concatenate(labels), np.hstack(terms))
 
@@ -265,21 +268,23 @@ def checked_noise_std(model, batch, conv_grads, step, active, noise):
     """Check a step's gradients, then return its noise scale.
 
     A non-finite entry of ``model.grad`` raises a DivergenceError naming
-    the step, the first such block and, when a row of ``conv_grads`` is
-    non-finite, the first such conversation of ``batch``. Without
-    ``noise`` the scale is None; otherwise ``_noise_std`` of each active
-    modality's columns of the batch's rows.
+    the step, the first such block and, with ``noise``, when a row of
+    ``conv_grads`` is non-finite, the first such conversation of
+    ``batch``. Without ``noise`` the scale is None and ``conv_grads`` is
+    not read; otherwise it is ``_noise_std`` of each active modality's
+    columns of the batch's rows.
     """
-    rows = conv_grads[:len(batch)]
+    rows = conv_grads[:len(batch)] if noise else None
     finite = np.isfinite(model.grad)
     if not finite.all():  # argmin finds the first False
         block = list(model.named_parameters())[
             np.searchsorted(model.offsets, finite.argmin(), "right") - 1]
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-        at = f", conversation {batch[bad[0]].id}" if bad.size else ""
+        bad = [] if rows is None else np.flatnonzero(
+            ~np.isfinite(rows).all(axis=1))
+        at = f", conversation {batch[bad[0]].id}" if len(bad) else ""
         raise DivergenceError(f"step {step}{at}: non-finite gradient in "
                               f"{block}")
-    if not noise:
+    if rows is None:
         return None
     return _noise_std({m: rows[:, model.encoder_spans[m]] for m in active})
 
@@ -330,8 +335,10 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
     dropout_rng = (np.random.default_rng(config.seed + 104729)
                    if model.config.dropout > 0.0 else None)
     use_noise = config.noise and not config.disable_modulation
-    # once per call: a fresh matrix per step would keep two alive at a time
-    conv_grads = np.empty((config.batch_size, model.encoder_size))
+    # only the noise std reads per-conversation rows; allocated once per
+    # call, as a fresh matrix per step would keep two alive at a time
+    conv_grads = (np.empty((config.batch_size, model.encoder_size))
+                  if use_noise else None)
 
     traces = trace_sink if trace_sink is not None else []
     result = TrainResult(traces=traces, eval_history=[])

@@ -231,10 +231,46 @@ def one_utterance_payload(**fields):
     ("t", [["x", 0.0]], "not lists of numbers"),
     ("t", [["1", 0.0]], "not lists of numbers"),
     ("a", [[True, False]], "not lists of numbers"),
+    ("t", [[True, 0.5]], "not lists of numbers"),  # numpy reads 1.0
+    ("a", [[0.5, False]], "not lists of numbers"),
+    ("labels", [10**30], f"label {10**30} outside"),  # not an OverflowError
+    ("v", [[0.5, 0.5, 0.5]], r"has shape \(1, 3\), expected \(1, 2\)"),
 ])
 def test_load_rejects_bad_values_naming_the_conversation(field, value, message):
     with pytest.raises(DatasetError, match=f"conversation c7: .*{message}"):
         from_payload(one_utterance_payload(**{field: value}))
+
+
+NO_ID = object()  # an entry without an "id" key
+
+
+def payload_with_ids(*ids):
+    """A dataset payload of one-utterance conversations with these ids."""
+    payload = one_utterance_payload()
+    entry = payload["conversations"][0]
+    bare = {k: v for k, v in entry.items() if k != "id"}
+    payload["conversations"] = [bare if i is NO_ID else {**bare, "id": i}
+                                for i in ids]
+    return payload
+
+
+def test_load_defaults_a_missing_id_to_the_entry_index():
+    data = from_payload(payload_with_ids(NO_ID, "x", NO_ID))
+    assert [c.id for c in data.conversations] == ["conv0000", "x", "conv0002"]
+
+
+@pytest.mark.parametrize("ids, message", [
+    (("a", "b", "c", None), "conversation 3: id must be a string, got None"),
+    ((5,), "conversation 0: id must be a string, got 5"),
+    (("a", "c", "b", "d", "c"), "conversation 4: id 'c' repeats "
+                                "conversation 1"),
+    ((NO_ID, "conv0000"), "conversation 1: id 'conv0000' repeats "
+                          "conversation 0"),
+])
+def test_load_rejects_non_string_and_repeated_ids(ids, message):
+    with pytest.raises(DatasetError) as info:
+        from_payload(payload_with_ids(*ids))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("header, message", [
@@ -254,6 +290,71 @@ def test_load_rejects_bad_header_naming_the_field(header, message):
     with pytest.raises(DatasetError) as info:
         from_payload(payload)
     assert message in str(info.value)
+
+
+# --- corruption sweep ---
+
+CORRUPTIONS = (
+    [("label", v) for v in (1.5, "1", None, True)]
+    + [("id", v) for v in (5, None, "repeat")]
+    + [("row", v) for v in ("shorter", "longer", "not a list")]
+    + [("value", v) for v in (None, "x", True, float("nan"))]
+    + [("drop", k) for k in ("labels", "modality")]
+    + [("drop header", k) for k in ("num_classes", "dims", "dims.m",
+                                    "conversations")]
+    + [("modality", {})]
+)
+
+
+def corrupt(payload, rng, kind, value):
+    """Apply one corruption to a valid payload at a random position;
+    returns the index of the conversation it touched, or None."""
+    convs = payload["conversations"]
+    i = int(rng.integers(1 if value == "repeat" else 0, len(convs)))
+    entry = convs[i]
+    m = "tav"[rng.integers(3)]
+    rows = entry[m]
+    r = int(rng.integers(len(rows)))
+    if kind == "label":
+        entry["labels"][r] = value
+    elif kind == "id":
+        entry["id"] = (convs[rng.integers(i)]["id"] if value == "repeat"
+                       else value)
+    elif kind == "row":
+        rows[r] = {"shorter": rows[r][:-1], "longer": rows[r] + [0.5],
+                   "not a list": 0.5}[value]
+    elif kind == "value":
+        rows[r][rng.integers(len(rows[r]))] = value
+    elif kind == "modality":
+        entry[m] = value
+    elif kind == "drop":
+        del entry[m if value == "modality" else value]
+    elif value == "dims.m":  # kind "drop header" from here on
+        del payload["dims"][m]
+        return None
+    else:
+        del payload[value]
+        return None
+    return i
+
+
+def test_corruption_sweep_raises_dataset_errors_naming_the_conversation():
+    rng = np.random.default_rng(11)
+    valid = dumps(generate(small_spec(conversations=3)))
+    assert len(from_payload(json.loads(valid)).conversations) == 3
+    for kind, value in CORRUPTIONS:
+        for _ in range(4):
+            payload = json.loads(valid)
+            i = corrupt(payload, rng, kind, value)
+            try:  # any other exception type fails the test as it is
+                from_payload(payload)
+            except DatasetError as exc:
+                message = str(exc)
+            else:
+                pytest.fail(f"{kind} {value!r} loaded")
+            if i is not None:
+                assert message.startswith((f"conversation conv{i:04d}: ",
+                                           f"conversation {i}: ")), message
 
 
 # --- batching ---

@@ -127,6 +127,32 @@ def test_one_conversation_pack_gives_its_graph_bit_for_bit():
     assert np.array_equal(packed_terms, terms)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("lengths, pack_rows", [
+    ((3, 5, 2, 4), 128), ((3, 5, 2, 4), 8), ((3, 12, 2), 8)])
+def test_packed_backward_without_rows_accumulates_the_batch_gradient(
+        monkeypatch, variant, lengths, pack_rows):
+    # a run without noise keeps no rows: encoder nodes add into model.grad
+    monkeypatch.setattr(training, "PACK_ROWS", pack_rows)
+    overrides, active = VARIANTS[variant]
+    model = Model(ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12,
+                              **overrides), num_classes=3, dims=DIMS, seed=1)
+    batch = conversations(lengths, seed=2)
+    _, total, terms = reference_gradients(model, batch, active)
+    _, _, packed_terms = backward_batch(model, batch, None, active)
+    assert relative_gap(model.grad, total) <= 1e-13
+    assert np.abs(packed_terms - terms).max() <= 1e-13 * np.abs(terms).max()
+
+
+def test_one_conversation_pack_without_rows_gives_its_graph_bit_for_bit():
+    model = Model(ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12),
+                  num_classes=3, dims=DIMS, seed=1)
+    batch = conversations((5,), seed=3)
+    _, total, _ = reference_gradients(model, batch, ("t", "a", "v"))
+    backward_batch(model, batch)
+    assert np.array_equal(model.grad, total)
+
+
 # --- segment-aware ops: no mixing across conversations, and gradients ---
 
 def pack_rows(rng, shape):

@@ -513,8 +513,9 @@ def test_divergence_names_step_conversation_and_term():
 
 def plant_after_backward(monkeypatch, step, index, row, value):
     """Make ``train``'s backward of ``step`` end with ``value`` at ``index``
-    of the batch gradient and, unless ``row`` is None, of that row of the
-    encoder gradient rows; returns a list that receives theta as it was."""
+    of the batch gradient and, unless ``row`` is None or the run keeps no
+    encoder gradient rows, of that row of them; returns a list that
+    receives theta as it was."""
     original = training.backward_batch
     before = []
 
@@ -523,7 +524,7 @@ def plant_after_backward(monkeypatch, step, index, row, value):
         if at == step:
             before.append(model.theta.copy())
             model.grad[index] = value
-            if row is not None:
+            if row is not None and conv_grads is not None:
                 conv_grads[row, index] = value
         return result
 
@@ -552,6 +553,23 @@ def test_non_finite_gradient_names_step_conversation_and_block(
                                f"{block}")
     assert np.array_equal(model.theta, before[0])  # the step was not taken
     assert len(traces) == 2
+
+
+def test_non_finite_gradient_without_noise_names_no_conversation(
+        monkeypatch):
+    # without noise no encoder gradient rows are kept, so an encoder
+    # block's NaN reads like any other block's: the step and the block
+    data = tiny_data(conversations=6)
+    config = OptimizerConfig(learning_rate=0.1, epochs=2, batch_size=2,
+                             noise=False, seed=5)
+    model = tiny_model(seed=18)
+    block = "encoder.t.block0.w1"
+    index = model.offsets[list(model.named_parameters()).index(block)] + 1
+    before = plant_after_backward(monkeypatch, 3, index, 1, float("nan"))
+    with pytest.raises(DivergenceError) as info:
+        train(model, data, config)
+    assert str(info.value) == f"step 3: non-finite gradient in {block}"
+    assert np.array_equal(model.theta, before[0])
 
 
 def test_infinite_gradient_is_checked_before_the_noise_scale(monkeypatch):
