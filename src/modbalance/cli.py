@@ -217,7 +217,7 @@ def _apply_overrides(config, args):
     if getattr(args, "out", None):
         config.output_dir = args.out
     if getattr(args, "seed", None) is not None:
-        config.optim.seed = args.seed
+        config.optim = replace(config.optim, seed=args.seed).validate()
     if getattr(args, "modalities", None):
         config.modalities = parse_modalities(args.modalities)
     return config

@@ -73,6 +73,8 @@ class SynthSpec:
         lo, hi = self.utterances
         if lo < 1 or hi < lo:
             raise DatasetError("utterances range must satisfy 1 <= min <= max")
+        if self.seed < 0:
+            raise DatasetError(f"seed must be >= 0, got {self.seed}")
         return self
 
     @classmethod

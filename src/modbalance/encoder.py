@@ -17,11 +17,9 @@ conversation's gradient of its parameters into that conversation's row of
 encoder gradients its noise estimate needs.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .tensor import (
     Tensor,
     accumulate,
@@ -32,25 +30,6 @@ from .tensor import (
     softmax_array,
     softmax_vjp,
 )
-
-
-@dataclass
-class EncoderConfig:
-    hidden: int = 32
-    layers: int = 2
-    heads: int = 4
-    ffn: int = 64
-    dropout: float = 0.0
-
-    def validate(self):
-        if self.hidden % self.heads != 0:
-            raise ConfigError(
-                f"hidden size {self.hidden} not divisible by {self.heads} heads")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
-        if min(self.hidden, self.layers, self.heads, self.ffn) < 1:
-            raise ConfigError("encoder dimensions must be positive")
-        return self
 
 
 def uniform_init(rng, shape, fan_in):
@@ -68,13 +47,13 @@ def ones_param(shape):
 
 
 class EncoderParams:
-    """Weights for one modality's encoder; creation order is fixed."""
+    """Weights for one modality's encoder, shaped by a validated
+    ``model.ModelConfig``; creation order is fixed."""
 
     def __init__(self, input_dim, config, rng):
-        config.validate()
         h, f = config.hidden, config.ffn
         self.input_dim = input_dim
-        self.config = config
+        self.heads = config.heads
         self.w_in = uniform_init(rng, (input_dim, h), input_dim)
         self.b_in = zeros_param((h,))
         self.blocks = []
@@ -101,13 +80,6 @@ class EncoderParams:
         for i, block in enumerate(self.blocks):
             for key, value in block.items():
                 yield f"{prefix}.block{i}.{key}", value
-
-
-def _dropout(x, rate, rng):
-    if rng is None or rate <= 0.0:
-        return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(mask)
 
 
 def _self_attention(x, block, heads, segments):
@@ -160,10 +132,9 @@ def _self_attention(x, block, heads, segments):
                       backward)
 
 
-def encode(x, params, segments, rng=None):
+def encode(x, params, segments):
     """Map raw utterance features (N x d_m) to hidden states (N x h).
 
-    Deterministic unless dropout is enabled and an ``rng`` is supplied.
     ``segments`` marks the conversations of the rows (see the module note).
     """
     if not isinstance(x, Tensor):
@@ -171,15 +142,13 @@ def encode(x, params, segments, rng=None):
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ShapeError(
             f"encoder expects (N, {params.input_dim}) input, got {x.shape}")
-    config = params.config
     z = linear(x, params.w_in, params.b_in, segments)
     for block in params.blocks:
-        attn = _dropout(_self_attention(z, block, config.heads, segments),
-                        config.dropout, rng)
+        attn = _self_attention(z, block, params.heads, segments)
         z = layer_norm_rows(z + attn, block["ln1_g"], block["ln1_b"],
                             segments=segments)
         ff = linear(linear(z, block["w1"], block["b1"], segments).relu(),
                     block["w2"], block["b2"], segments)
-        z = layer_norm_rows(z + _dropout(ff, config.dropout, rng),
-                            block["ln2_g"], block["ln2_b"], segments=segments)
+        z = layer_norm_rows(z + ff, block["ln2_g"], block["ln2_b"],
+                            segments=segments)
     return z

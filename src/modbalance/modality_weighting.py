@@ -16,6 +16,7 @@ import logging
 
 import numpy as np
 
+from .dataset import MODALITIES
 from .encoder import uniform_init, zeros_param
 from .errors import ShapeError
 from .tensor import Tensor, accumulate, linear
@@ -28,18 +29,17 @@ NORM_FLOOR = 1e-12
 class FusionHead:
     """Per-modality output matrices (h x |E|) and one shared bias."""
 
-    def __init__(self, hidden, num_classes, modalities, rng):
+    def __init__(self, hidden, num_classes, rng):
         self.hidden = hidden
         self.num_classes = num_classes
-        self.modalities = tuple(modalities)
         self.weights = {
             m: uniform_init(rng, (hidden, num_classes), hidden)
-            for m in self.modalities
+            for m in MODALITIES
         }
         self.bias = zeros_param((num_classes,))
 
     def named_parameters(self, prefix="head"):
-        for m in self.modalities:
+        for m in MODALITIES:
             yield f"{prefix}.{m}.w", self.weights[m]
         yield f"{prefix}.b", self.bias
 
@@ -98,7 +98,7 @@ def _cosine_logits(z, w, m):
     return Tensor._op(zn @ wn, (z, w), backward)
 
 
-def fuse_modalities(features, head, active=None, normalized=True):
+def fuse_modalities(features, head, active=MODALITIES, normalized=True):
     """Fuse per-modality features into class logits.
 
     Returns ``(logits, contributions)`` where ``contributions[m]`` is the
@@ -106,7 +106,6 @@ def fuse_modalities(features, head, active=None, normalized=True):
     entry is a cosine in [-1, 1]; without it the fusion degrades to a plain
     linear map (the no-normalization ablation).
     """
-    active = tuple(active) if active is not None else head.modalities
     if not active:
         raise ShapeError("fusion requires at least one modality")
     contributions = {}
@@ -135,9 +134,8 @@ def classify(fused, params):
     return linear(hidden, params.w2, params.b2)
 
 
-def weight_norm_trace(head, active=None):
+def weight_norm_trace(head, active=MODALITIES):
     """Column norms ||W_k^m|| as an (M x |E|) diagnostic matrix."""
-    active = tuple(active) if active is not None else head.modalities
     return np.stack([
         np.linalg.norm(head.weights[m].data, axis=0) for m in active
     ])

@@ -21,7 +21,7 @@ import numpy as np
 from . import feature_weighting as afw
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import MODALITIES
-from .encoder import EncoderConfig, EncoderParams, encode
+from .encoder import EncoderParams, encode
 from .errors import CheckpointError, ConfigError, check_fields
 from .modality_weighting import (
     ClassifierParams,
@@ -34,20 +34,22 @@ from .tensor import Segments, Tensor
 
 # Options removed from ModelConfig, at the only values a checkpoint may hold.
 # Checkpoints still record them, so the file format does not change.
-RETIRED_OPTIONS = {"positional": False, "feature_stop_grad": ""}
+RETIRED_OPTIONS = {"positional": False, "feature_stop_grad": "",
+                   "dropout": 0.0, "d_k": 0.0, "classifier_hidden": 0}
 
 
 @dataclass
 class ModelConfig:
+    """Encoder shape (``hidden``, ``layers``, ``heads``, ``ffn``), AFW's
+    tensor-ring ``rank`` (its attention scale is 1/rank) and gate
+    ``beta``, and the two ablation switches."""
+
     hidden: int = 32
     rank: int = 2
     beta: float = 0.5
-    d_k: float = 0.0  # 0 means "use rank squared"
     layers: int = 2
     heads: int = 4
     ffn: int = 64
-    dropout: float = 0.0
-    classifier_hidden: int = 0  # 0 means "twice the class count"
     disable_afw: bool = False
     disable_amw: bool = False
 
@@ -56,19 +58,12 @@ class ModelConfig:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
         if self.rank < 1:
             raise ConfigError("rank must be >= 1")
-        if self.d_k < 0.0:
-            raise ConfigError("d_k must be positive (or 0 for the default)")
-        self.encoder_config().validate()
+        if min(self.hidden, self.layers, self.heads, self.ffn) < 1:
+            raise ConfigError("hidden, layers, heads and ffn must be positive")
+        if self.hidden % self.heads != 0:
+            raise ConfigError(
+                f"hidden size {self.hidden} not divisible by {self.heads} heads")
         return self
-
-    def encoder_config(self):
-        return EncoderConfig(hidden=self.hidden, layers=self.layers,
-                             heads=self.heads, ffn=self.ffn,
-                             dropout=self.dropout)
-
-    @property
-    def effective_d_k(self):
-        return self.d_k if self.d_k > 0.0 else float(self.rank * self.rank)
 
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -105,17 +100,15 @@ class Model:
         self.num_classes = num_classes
         self.dims = {m: int(dims[m]) for m in MODALITIES}
         rng = np.random.default_rng(seed)
-        enc_config = config.encoder_config()
         self.encoders = {
-            m: EncoderParams(self.dims[m], enc_config, rng) for m in MODALITIES
+            m: EncoderParams(self.dims[m], config, rng) for m in MODALITIES
         }
         self.afw_params = {
             m: afw.FeatureWeightParams(config.hidden, config.rank, rng)
             for m in MODALITIES
         }
-        self.head = FusionHead(config.hidden, num_classes, MODALITIES, rng)
-        hidden = config.classifier_hidden or 2 * num_classes
-        self.classifier = ClassifierParams(num_classes, hidden, rng)
+        self.head = FusionHead(config.hidden, num_classes, rng)
+        self.classifier = ClassifierParams(num_classes, 2 * num_classes, rng)
         self._registry = self._build_registry()
 
     # --- parameter registry ---
@@ -166,7 +159,7 @@ class Model:
 
     # --- forward ---
 
-    def forward(self, features, active=MODALITIES, rng=None, segments=None):
+    def forward(self, features, active=MODALITIES, segments=None):
         """Run a conversation, or the pack ``segments`` describes, through
         the full pipeline.
 
@@ -181,13 +174,12 @@ class Model:
             if m not in MODALITIES:
                 raise ConfigError(f"unknown modality {m!r}")
         segments = segments or Segments([np.shape(features[active[0]])[0]])
-        z = {m: encode(features[m], self.encoders[m], segments, rng=rng)
-             for m in active}
+        z = {m: encode(features[m], self.encoders[m], segments) for m in active}
         if self.config.disable_afw:
             state = None
             balanced = z
         else:
-            state = afw.forward(z, self.afw_params, self.config.effective_d_k,
+            state = afw.forward(z, self.afw_params, self.config.rank ** 2,
                                 self.config.beta, segments, active=active)
             balanced = state.balanced
         fused, contributions = fuse_modalities(

@@ -17,7 +17,7 @@ each, as Krell et al. pack sequences, arXiv:2107.02027), stacks each
 pack's utterances row-wise, and runs one forward and one backward per
 pack. The non-encoder gradients accumulate in ``model.grad``. When noise
 is drawn, the encoder nodes write each conversation's encoder gradient
-into its row of one (batch_size, encoder_size) matrix that ``train``
+into its row of one (largest batch, encoder_size) matrix that ``train``
 allocates once; otherwise they too accumulate in ``model.grad``.
 
 So a step is: ``backward_batch`` (every pack's forward and backward, then
@@ -88,6 +88,8 @@ class OptimizerConfig:
             raise ConfigError("alpha must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     @classmethod
@@ -198,7 +200,7 @@ def packs(batch):
         yield pack
 
 
-def _pack_losses(model, pack, segments, active, dropout_rng, step):
+def _pack_losses(model, pack, segments, active, step):
     """Forward a pack; returns the pass, its labels, the (3, S) loss terms
     of its conversations and their total, a scalar tensor.
 
@@ -208,8 +210,7 @@ def _pack_losses(model, pack, segments, active, dropout_rng, step):
     features = {m: np.concatenate([c.features[m] for c in pack])
                 for m in active}
     labels = np.concatenate([c.labels for c in pack])
-    out = model.forward(features, active=active, rng=dropout_rng,
-                        segments=segments)
+    out = model.forward(features, active=active, segments=segments)
     cls_term = cls_loss(out.outputs, labels, segments)
     if out.afw_state is None:
         feature_term = Tensor(np.zeros(len(pack)))
@@ -228,8 +229,7 @@ def _pack_losses(model, pack, segments, active, dropout_rng, step):
     return out, labels, values, total
 
 
-def backward_batch(model, batch, conv_grads=None, active=MODALITIES,
-                   dropout_rng=None, step=0):
+def backward_batch(model, batch, conv_grads=None, active=MODALITIES, step=0):
     """Forward and backward ``batch``, one graph per pack.
 
     Afterwards ``model.grad`` holds the gradient summed over the batch and,
@@ -250,7 +250,7 @@ def backward_batch(model, batch, conv_grads=None, active=MODALITIES,
                 else model.encoder_grad_rows(conv_grads[first:last]))
         segments = Segments([c.num_utterances for c in pack], rows)
         out, pack_labels, values, total = _pack_losses(
-            model, pack, segments, active, dropout_rng, step)
+            model, pack, segments, active, step)
         total.backward()
         for m in active:
             score_logits[m].append(out.score_logits(m, model.head.bias.data))
@@ -332,13 +332,11 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
     config.validate()
     active = tuple(active)
     noise_rng = np.random.default_rng(config.seed + 7919)
-    dropout_rng = (np.random.default_rng(config.seed + 104729)
-                   if model.config.dropout > 0.0 else None)
     use_noise = config.noise and not config.disable_modulation
-    # only the noise std reads per-conversation rows; allocated once per
-    # call, as a fresh matrix per step would keep two alive at a time
-    conv_grads = (np.empty((config.batch_size, model.encoder_size))
-                  if use_noise else None)
+    # only the noise std reads per-conversation rows, one per conversation
+    # of the largest batch; allocated once per call (not per step)
+    conv_grads = (np.empty((min(config.batch_size, len(conversations)),
+                            model.encoder_size)) if use_noise else None)
 
     traces = trace_sink if trace_sink is not None else []
     result = TrainResult(traces=traces, eval_history=[])
@@ -348,7 +346,7 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
                                   seed=config.seed + epoch):
             step += 1
             stacked, all_labels, terms = backward_batch(
-                model, batch, conv_grads, active, dropout_rng, step)
+                model, batch, conv_grads, active, step)
             noise_std = checked_noise_std(model, batch, conv_grads, step,
                                           active, use_noise)
             grads = model.grad / len(batch)

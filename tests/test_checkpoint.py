@@ -121,7 +121,8 @@ def test_model_loads_checkpoint_with_retired_options_at_old_defaults(tmp_path):
     config = ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12)
     model = Model(config, num_classes=3, dims={"t": 6, "a": 5, "v": 4}, seed=5)
     path = tmp_path / "old.bin"
-    _save_with_model_meta(path, model, positional=False, feature_stop_grad="")
+    _save_with_model_meta(path, model, positional=False, feature_stop_grad="",
+                          dropout=0.0, d_k=0.0, classifier_hidden=0)
     back = Model.load(path)
     assert back.config.to_dict() == config.to_dict()
     model.save(tmp_path / "new.bin")
@@ -129,7 +130,8 @@ def test_model_loads_checkpoint_with_retired_options_at_old_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("option, value", [
-    ("positional", True), ("feature_stop_grad", "attention")])
+    ("positional", True), ("feature_stop_grad", "attention"),
+    ("dropout", 0.1), ("d_k", 9.0), ("classifier_hidden", 5)])
 def test_model_load_refuses_retired_option_in_use(tmp_path, option, value):
     config = ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12)
     model = Model(config, num_classes=3, dims={"t": 6, "a": 5, "v": 4}, seed=5)

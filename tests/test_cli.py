@@ -134,6 +134,9 @@ BAD_INPUTS = {
        for section, option, value in [
            ("model", "positional", False),
            ("model", "feature_stop_grad", ""),
+           ("model", "dropout", 0.0),
+           ("model", "d_k", 0.0),
+           ("model", "classifier_hidden", 0),
            ("optim", "noise_estimate", "sample"),
            ("optim", "noise_scale", 0.1)]},
     **{f"run_config_{option}_of_wrong_type": (
@@ -142,17 +145,31 @@ BAD_INPUTS = {
        for section, option, value in [
            ("model", "hidden", "8"),
            ("optim", "epochs", "2"),
-           ("model", "dropout", "x"),
+           ("model", "beta", "x"),
            ("optim", "noise", "yes"),
            ("model", "layers", True),
-           ("model", "beta", True)]},
+           ("optim", "learning_rate", True)]},
     **{f"run_config_{option}_not_finite": (
         lambda tmp_path, section=section, option=option, value=value:
         train_argv(tmp_path, {section: {option: value}}), option)
        for section, option, value in [
            ("optim", "learning_rate", float("nan")),
            ("optim", "alpha", float("inf")),
-           ("model", "d_k", float("nan"))]},
+           ("model", "beta", float("nan"))]},
+    "run_config_zero_heads": (lambda tmp_path: train_argv(
+        tmp_path, {"model": {"heads": 0}}), "heads"),
+    "run_config_negative_seed": (lambda tmp_path: train_argv(
+        tmp_path, {"optim": {"seed": -1}}), "seed"),
+    "synth_negative_seed": (lambda tmp_path: train_argv(
+        tmp_path, {"data": {"synth": {"seed": -1}}}), "seed"),
+    "spec_negative_seed": (lambda tmp_path: [
+        "gen-data", "--config",
+        write_json(tmp_path / "spec.json", {"seed": -1}),
+        "--out", tmp_path / "data.json"], "seed"),
+    **{f"{command}_seed_override_negative": (
+        lambda tmp_path, command=command: [
+            command, *train_argv(tmp_path, {})[1:], "--seed", "-1"], "seed")
+       for command in ("train", "ablate")},
     "run_config_ablation_section": (lambda tmp_path: train_argv(
         tmp_path, {"ablation": {"disable_afw": True}}), "ablation"),
     "run_config_modalities_int": (lambda tmp_path: train_argv(

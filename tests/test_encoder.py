@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from modbalance import encoder
-from modbalance.encoder import EncoderConfig, EncoderParams, encode
+from modbalance.encoder import EncoderParams, encode
 from modbalance.errors import ConfigError, ShapeError
+from modbalance.model import Model, ModelConfig
 from modbalance.tensor import Segments, Tensor, layer_norm_rows
 
 from conftest import assert_grad_matches
@@ -14,7 +15,7 @@ from conftest import assert_grad_matches
 def tiny_config(**overrides):
     base = dict(hidden=8, layers=1, heads=2, ffn=12)
     base.update(overrides)
-    return EncoderConfig(**base)
+    return ModelConfig(**base).validate()
 
 
 def make_params(input_dim=5, seed=0, **overrides):
@@ -23,8 +24,18 @@ def make_params(input_dim=5, seed=0, **overrides):
 
 
 def test_config_rejects_bad_head_split():
-    with pytest.raises(ConfigError):
-        EncoderConfig(hidden=10, heads=4).validate()
+    with pytest.raises(ConfigError, match="not divisible by 4 heads"):
+        ModelConfig(hidden=10, heads=4).validate()
+
+
+@pytest.mark.parametrize("option", ["hidden", "layers", "heads", "ffn"])
+def test_config_rejects_zero_encoder_dimension(option):
+    # heads=0 is checked before hidden % heads could divide by it
+    with pytest.raises(ConfigError, match="must be positive"):
+        ModelConfig(**{option: 0}).validate()
+    with pytest.raises(ConfigError, match="must be positive"):
+        Model(ModelConfig(**{option: 0}), num_classes=3,
+              dims={"t": 6, "a": 5, "v": 4}, seed=0)
 
 
 def test_output_shape_and_dim_check():
@@ -91,22 +102,6 @@ def test_layer_norm_standardizes_rows():
     out = layer_norm_rows(x, gamma, beta).data
     assert np.abs(out.mean(axis=1)).max() < 1e-6
     assert np.abs(out.var(axis=1) - 1.0).max() < 1e-6
-
-
-def test_dropout_is_seeded_and_off_at_eval():
-    params = make_params(dropout=0.5)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((4, 5))
-    a = encode(x, params, Segments([4]), rng=np.random.default_rng(9)).data
-    b = encode(x, params, Segments([4]), rng=np.random.default_rng(9)).data
-    c = encode(x, params, Segments([4]),
-               rng=np.random.default_rng(10)).data
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    # no rng -> deterministic evaluation path, no masking
-    d = encode(x, params, Segments([4])).data
-    e = encode(x, params, Segments([4])).data
-    assert np.array_equal(d, e)
 
 
 def test_encoder_gradients_match_finite_differences():

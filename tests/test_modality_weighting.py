@@ -22,7 +22,7 @@ MODS = ("t", "a", "v")
 
 
 def make_head(hidden=4, num_classes=3, seed=0):
-    return FusionHead(hidden, num_classes, MODS, np.random.default_rng(seed))
+    return FusionHead(hidden, num_classes, np.random.default_rng(seed))
 
 
 def random_features(rng, n=5, hidden=4):

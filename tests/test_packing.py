@@ -11,7 +11,7 @@ import pytest
 
 from modbalance import training
 from modbalance.dataset import Conversation
-from modbalance.encoder import EncoderParams, EncoderConfig, _self_attention
+from modbalance.encoder import EncoderParams, _self_attention
 from modbalance.feature_weighting import feature_attention, pool_attention
 from modbalance.losses import cls_loss, feature_loss, main_loss, modal_loss
 from modbalance.model import Model, ModelConfig
@@ -166,8 +166,8 @@ def one_conversation(rows):
 
 
 def attention_block(rng, hidden=8):
-    return EncoderParams(4, EncoderConfig(hidden=hidden, layers=1, heads=2,
-                                          ffn=8), rng).blocks[0]
+    return EncoderParams(4, ModelConfig(hidden=hidden, layers=1, heads=2,
+                                        ffn=8), rng).blocks[0]
 
 
 def test_packed_attention_attends_within_each_conversation():

@@ -213,6 +213,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(learning_rate=0.0).validate()
     with pytest.raises(ConfigError):
         OptimizerConfig(alpha=-1.0).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        OptimizerConfig(seed=-1).validate()
     with pytest.raises(ConfigError):
         OptimizerConfig.from_dict({"learning_rate": 0.1, "bogus": 1})
     for retired in ({"noise_estimate": "sample"}, {"noise_scale": 0.1}):
@@ -414,6 +416,20 @@ def test_training_is_deterministic_with_noise():
         assert np.array_equal(finals[0][name], finals[1][name])
 
 
+def test_batch_size_past_the_data_trains_as_one_full_batch():
+    # the per-conversation gradient rows are sized by the data, not by
+    # batch_size: 10**12 rows of this model would need petabytes
+    data = tiny_data(conversations=4)
+    thetas = []
+    for batch_size in (10**12, len(data)):
+        model = tiny_model(seed=12)
+        config = OptimizerConfig(learning_rate=0.1, epochs=2,
+                                 batch_size=batch_size, noise=True, seed=4)
+        train(model, data, config)
+        thetas.append(model.theta)
+    assert np.array_equal(thetas[0], thetas[1])
+
+
 def test_training_on_modality_subset_leaves_excluded_encoder_frozen():
     data = tiny_data(conversations=4)
     config = OptimizerConfig(learning_rate=0.1, epochs=1, batch_size=2,
@@ -519,8 +535,8 @@ def plant_after_backward(monkeypatch, step, index, row, value):
     original = training.backward_batch
     before = []
 
-    def planted(model, batch, conv_grads, active, dropout_rng, at):
-        result = original(model, batch, conv_grads, active, dropout_rng, at)
+    def planted(model, batch, conv_grads, active, at):
+        result = original(model, batch, conv_grads, active, at)
         if at == step:
             before.append(model.theta.copy())
             model.grad[index] = value
