@@ -146,6 +146,7 @@ BAD_INPUTS = {
            ("model", "hidden", "8"),
            ("optim", "epochs", "2"),
            ("model", "beta", "x"),
+           ("model", "dropout", "x"),
            ("optim", "noise", "yes"),
            ("model", "layers", True),
            ("optim", "learning_rate", True)]},
