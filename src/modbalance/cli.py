@@ -217,7 +217,7 @@ def _apply_overrides(config, args):
     if getattr(args, "out", None):
         config.output_dir = args.out
     if getattr(args, "seed", None) is not None:
-        config.optim = replace(config.optim, seed=args.seed).validate()
+        config.optim = replace(config.optim, seed=args.seed)
     if getattr(args, "modalities", None):
         config.modalities = parse_modalities(args.modalities)
     return config

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetError, check_keys, check_value
+from .errors import DatasetError, check_fields, check_keys, check_value
 from .files import replacing
 
 MODALITIES = ("t", "a", "v")
@@ -46,9 +46,13 @@ class Dataset:
         return np.concatenate([c.labels for c in self.conversations])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
-    """Knobs for the synthetic generator; identical seeds give identical data."""
+    """Knobs for the synthetic generator; identical seeds give identical
+    data. An instance is valid by construction: a value of the wrong type
+    (or a non-finite float) raises ConfigError and one out of range
+    DatasetError, each naming the option. An int given for a float is
+    stored as a float."""
 
     num_classes: int = 4
     dims: dict = field(default_factory=lambda: {"t": 16, "a": 12, "v": 12})
@@ -58,13 +62,28 @@ class SynthSpec:
     utterances: tuple = (5, 10)
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
+        what = "synthetic spec options"
+        check_fields(self, what)
+        for name, kind in (("dims", int), ("gamma", float)):
+            check_keys(getattr(self, name), MODALITIES, f"{name} modalities")
+            for m, value in getattr(self, name).items():
+                check_value(value, kind, f"{what}: {name}.{m}")
+        if len(self.utterances) != 2:
+            raise DatasetError(
+                f"synthetic spec has a bad value: utterances must be "
+                f"[min, max], got {list(self.utterances)!r}")
+        for value in self.utterances:
+            check_value(value, int, f"{what}: utterances")
+        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+        object.__setattr__(self, "gamma",
+                           {m: float(g) for m, g in self.gamma.items()})
         if self.num_classes < 2:
             raise DatasetError("num_classes must be >= 2")
         for m in MODALITIES:
-            if m not in self.dims or int(self.dims[m]) < 1:
+            if m not in self.dims or self.dims[m] < 1:
                 raise DatasetError(f"dims.{m} must be a positive integer")
-            if m not in self.gamma or not 0.0 <= float(self.gamma[m]) <= 1.0:
+            if m not in self.gamma or not 0.0 <= self.gamma[m] <= 1.0:
                 raise DatasetError(f"gamma.{m} must be in [0, 1]")
         if self.noise_sigma < 0.0:
             raise DatasetError("noise_sigma must be >= 0")
@@ -75,41 +94,20 @@ class SynthSpec:
             raise DatasetError("utterances range must satisfy 1 <= min <= max")
         if self.seed < 0:
             raise DatasetError(f"seed must be >= 0, got {self.seed}")
-        return self
 
     @classmethod
     def from_dict(cls, payload):
-        """Spec from a JSON object; a value of the wrong type, or a
-        non-finite float, is a ConfigError naming the option. The entries
-        of ``dims`` and ``gamma`` replace the defaults one modality at a
-        time."""
-        what = "synthetic spec options"
-        check_keys(payload, cls.__dataclass_fields__, what)
+        """Spec from a JSON object. The entries of ``dims`` and ``gamma``
+        replace the defaults one modality at a time."""
+        check_keys(payload, cls.__dataclass_fields__, "synthetic spec options")
+        options = dict(payload)
         defaults = cls()
-        options = {}
-        for name, kind in (("num_classes", int), ("noise_sigma", float),
-                           ("conversations", int), ("seed", int)):
-            if name in payload:
-                check_value(payload[name], kind, f"{what}: {name}")
-                options[name] = kind(payload[name])
-        for name, kind in (("dims", int), ("gamma", float)):
-            if name in payload:
-                check_keys(payload[name], MODALITIES, f"{name} modalities")
-                for m, value in payload[name].items():
-                    check_value(value, kind, f"{what}: {name}.{m}")
-                options[name] = {**getattr(defaults, name),
-                                 **{m: kind(value)
-                                    for m, value in payload[name].items()}}
-        if "utterances" in payload:
-            bounds = payload["utterances"]
-            if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
-                raise DatasetError(
-                    f"synthetic spec has a bad value: utterances must be "
-                    f"[min, max], got {bounds!r}")
-            for value in bounds:
-                check_value(value, int, f"{what}: utterances")
-            options["utterances"] = tuple(bounds)
-        return cls(**options).validate()
+        for name in ("dims", "gamma"):
+            if isinstance(options.get(name), dict):
+                options[name] = {**getattr(defaults, name), **options[name]}
+        if isinstance(options.get("utterances"), list):
+            options["utterances"] = tuple(options["utterances"])
+        return cls(**options)
 
 
 def _draw_prototypes(rng, spec):
@@ -132,7 +130,6 @@ def class_prototypes(spec):
 
 def generate(spec):
     """Sample a dataset: features = gamma_m * prototype[label] + N(0, sigma^2)."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     protos = _draw_prototypes(rng, spec)
     lo, hi = spec.utterances
@@ -269,8 +266,6 @@ def load(path):
 
 def batches(conversations, batch_size, seed):
     """One epoch: a seeded permutation split into batches (last may be short)."""
-    if batch_size < 1:
-        raise DatasetError("batch_size must be >= 1")
     if not conversations:
         raise DatasetError("cannot batch an empty dataset")
     rng = np.random.default_rng(seed)

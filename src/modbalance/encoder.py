@@ -47,7 +47,7 @@ def ones_param(shape):
 
 
 class EncoderParams:
-    """Weights for one modality's encoder, shaped by a validated
+    """Weights for one modality's encoder, shaped by a
     ``model.ModelConfig``; creation order is fixed."""
 
     def __init__(self, input_dim, config, rng):

@@ -1,7 +1,7 @@
 """Exception types shared across the package."""
 
 import dataclasses
-import math
+import sys
 
 
 class ModBalanceError(Exception):
@@ -40,19 +40,17 @@ def check_keys(payload, known, what):
 def check_value(value, expected, what, error=ConfigError):
     """Raise ``error`` naming ``what`` unless ``value`` is of type
     ``expected`` and, for a float, finite. A bool is not a number; an int
-    is a valid float."""
+    is a valid float, but not one past the float range."""
     accepted = (int, float) if expected is float else expected
     if (not isinstance(value, accepted)
             or isinstance(value, bool) != (expected is bool)):
         raise error(f"{what} must be {expected.__name__}, got {value!r}")
-    if expected is float and not math.isfinite(value):
+    if expected is float and not abs(value) <= sys.float_info.max:
         raise error(f"{what} must be finite, got {value!r}")
 
 
-def check_fields(payload, cls, what):
-    """``check_keys`` against the fields of dataclass ``cls``, then
-    ``check_value`` on each given value against its field's type."""
-    check_keys(payload, cls.__dataclass_fields__, what)
-    for f in dataclasses.fields(cls):
-        if f.name in payload:
-            check_value(payload[f.name], f.type, f"{what}: {f.name}")
+def check_fields(instance, what):
+    """``check_value`` on each field of dataclass ``instance`` against its
+    annotated type."""
+    for f in dataclasses.fields(instance):
+        check_value(getattr(instance, f.name), f.type, f"{what}: {f.name}")

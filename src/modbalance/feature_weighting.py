@@ -19,11 +19,9 @@ steps work on rows alone.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dataset import MODALITIES
 from .encoder import uniform_init, zeros_param
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .tensor import Tensor, accumulate, linear, softmax_array, softmax_vjp
 
 
@@ -31,8 +29,6 @@ class FeatureWeightParams:
     """Per-modality projections, output map, and attention mapper."""
 
     def __init__(self, hidden, rank, rng):
-        if rank < 1:
-            raise ConfigError("tensor rank must be >= 1")
         self.hidden = hidden
         self.rank = rank
         self.query1 = uniform_init(rng, (hidden, rank), hidden)
@@ -91,15 +87,14 @@ def make_cores(z, w1, w2):
                       backward)
 
 
-def attention_coefficients(cores_q, cores_k, d_k):
-    """Per-utterance softmax over the scaled element-wise core product."""
-    if d_k <= 0:
-        raise ConfigError(f"d_k must be positive, got {d_k}")
+def attention_coefficients(cores_q, cores_k):
+    """Per-utterance softmax over the element-wise core product, scaled by
+    1/rank (one over the square root of the rank * rank grid size)."""
     if cores_q.shape != cores_k.shape:
         raise ShapeError(
             f"query/key cores disagree: {cores_q.shape} vs {cores_k.shape}")
     n, rank, _ = cores_q.shape
-    scale = 1.0 / np.sqrt(d_k)
+    scale = 1.0 / rank
     scores = (cores_q.data * cores_k.data) * scale
     theta = softmax_array(scores.reshape(n, rank * rank), axis=1)
 
@@ -174,8 +169,6 @@ def feature_attention(coefficients, pooled, out_map, segments,
 
 def fuse_features(attention, z, beta):
     """Residual gate: attention (.) z + beta * z."""
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must be in [0, 1], got {beta}")
 
     def backward(g):
         accumulate(attention, g * z.data)
@@ -191,7 +184,7 @@ def map_attention(z, params):
     return linear(hidden, params.map_w2, params.map_b2)
 
 
-def forward(z, params, d_k, beta, segments, active=MODALITIES):
+def forward(z, params, beta, segments, active=MODALITIES):
     """Run the full feature-weighting pass for all active modalities, on
     the conversations that ``segments`` describes."""
     coefficients, pooled = {}, {}
@@ -199,7 +192,7 @@ def forward(z, params, d_k, beta, segments, active=MODALITIES):
         p = params[m]
         coefficients[m] = attention_coefficients(
             make_cores(z[m], p.query1, p.query2),
-            make_cores(z[m], p.key1, p.key2), d_k)
+            make_cores(z[m], p.key1, p.key2))
         pooled[m] = pool_attention(coefficients[m], segments)
     attention, mapped, balanced = {}, {}, {}
     for m in active:

@@ -62,8 +62,16 @@ class ClassifierParams:
 
 def _floored_norm(x, axis, what):
     """Euclidean norms of ``x`` along ``axis`` (kept as a size-1 axis),
-    raised to ``NORM_FLOOR``; logs how many were raised."""
-    norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    raised to ``NORM_FLOOR``; logs how many were raised. A slice whose sum
+    of squares overflows (an entry past about 1.3e154) is divided by its
+    largest |entry| first; every other slice is summed as it is."""
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    huge = np.isinf(norm)
+    if huge.any():
+        peak = np.where(huge, np.abs(x).max(axis=axis, keepdims=True), 1.0)
+        rescaled = np.sqrt(((x / peak) ** 2).sum(axis=axis, keepdims=True))
+        norm = np.where(huge, peak * rescaled, norm)
     degenerate = int((norm <= NORM_FLOOR).sum())
     if degenerate:
         logger.warning(

@@ -22,13 +22,13 @@ from . import feature_weighting as afw
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import MODALITIES
 from .encoder import EncoderParams, encode
-from .errors import CheckpointError, ConfigError, check_fields
+from .errors import (CheckpointError, ConfigError, check_fields, check_keys,
+                     check_value)
 from .modality_weighting import (
     ClassifierParams,
     FusionHead,
     classify,
     fuse_modalities,
-    weight_norm_trace,
 )
 from .tensor import Segments, Tensor
 
@@ -38,11 +38,12 @@ RETIRED_OPTIONS = {"positional": False, "feature_stop_grad": "",
                    "dropout": 0.0, "d_k": 0.0, "classifier_hidden": 0}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Encoder shape (``hidden``, ``layers``, ``heads``, ``ffn``), AFW's
     tensor-ring ``rank`` (its attention scale is 1/rank) and gate
-    ``beta``, and the two ablation switches."""
+    ``beta``, and the two ablation switches. An instance is valid by
+    construction: a bad value raises ConfigError naming the option."""
 
     hidden: int = 32
     rank: int = 2
@@ -53,25 +54,24 @@ class ModelConfig:
     disable_afw: bool = False
     disable_amw: bool = False
 
-    def validate(self):
+    def __post_init__(self):
+        check_fields(self, "model options")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if self.rank < 1:
-            raise ConfigError("rank must be >= 1")
-        if min(self.hidden, self.layers, self.heads, self.ffn) < 1:
-            raise ConfigError("hidden, layers, heads and ffn must be positive")
+        if min(self.hidden, self.rank, self.layers, self.heads, self.ffn) < 1:
+            raise ConfigError(
+                "hidden, rank, layers, heads and ffn must be positive")
         if self.hidden % self.heads != 0:
             raise ConfigError(
                 f"hidden size {self.hidden} not divisible by {self.heads} heads")
-        return self
 
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, payload):
-        check_fields(payload, cls, "model options")
-        return cls(**payload).validate()
+        check_keys(payload, cls.__dataclass_fields__, "model options")
+        return cls(**payload)
 
 
 @dataclass
@@ -93,7 +93,6 @@ class ForwardPass:
 
 class Model:
     def __init__(self, config, num_classes, dims, seed):
-        config.validate()
         if num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         self.config = config
@@ -179,8 +178,8 @@ class Model:
             state = None
             balanced = z
         else:
-            state = afw.forward(z, self.afw_params, self.config.rank ** 2,
-                                self.config.beta, segments, active=active)
+            state = afw.forward(z, self.afw_params, self.config.beta,
+                                segments, active=active)
             balanced = state.balanced
         fused, contributions = fuse_modalities(
             balanced, self.head, active=active,
@@ -188,9 +187,6 @@ class Model:
         outputs = classify(fused, self.classifier)
         return ForwardPass(afw_state=state, fused=fused,
                            contributions=contributions, outputs=outputs)
-
-    def weight_norms(self, active=MODALITIES):
-        return weight_norm_trace(self.head, active=active)
 
     # --- persistence ---
 
@@ -213,7 +209,12 @@ class Model:
                     raise CheckpointError(
                         f"{path}: sets the removed model option {name!r}")
             config = ModelConfig.from_dict(options)
-            model = cls(config, int(meta["num_classes"]), meta["dims"], seed=0)
+            num_classes, dims = meta["num_classes"], meta["dims"]
+            check_value(num_classes, int, "num_classes")
+            check_keys(dims, MODALITIES, "dims modalities")
+            for m in MODALITIES:
+                check_value(dims[m], int, f"dims.{m}")
+            model = cls(config, num_classes, dims, seed=0)
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise CheckpointError(f"{path}: bad metadata ({exc})") from exc
         params = model.named_parameters()

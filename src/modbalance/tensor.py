@@ -20,12 +20,11 @@ parameter blocks: an op that finds its parameter there adds each
 conversation's gradient into that conversation's row rather than one sum
 into ``grad`` (the per-example gradients of Goodfellow, arXiv:1510.01799).
 
-The model's cost is the Python overhead of each graph node, not its
-arithmetic, so the hot layers are single fused nodes with a hand-written
-backward: ``linear`` and ``layer_norm_rows`` here, and self-attention, the
-tensor-ring steps, cosine fusion and cross-entropy in the modules that own
-them. The ``Tensor`` methods are the few elementwise ops and reductions
-that glue those nodes together.
+Each graph node costs Python overhead, so the hot layers are single fused
+nodes with a hand-written backward: ``linear`` and ``layer_norm_rows``
+here, and self-attention, the tensor-ring steps, cosine fusion and
+cross-entropy in the modules that own them. Per-row arithmetic now
+dominates a full pack. The ``Tensor`` methods glue those nodes together.
 """
 
 import itertools

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MODALITIES, batches as make_batches
-from .errors import ConfigError, DivergenceError, check_fields
+from .errors import ConfigError, DivergenceError, check_fields, check_keys
 from .losses import (
     TERMS,
     LossBreakdown,
@@ -43,6 +43,7 @@ from .losses import (
     modal_loss,
 )
 from .metrics import EvalReport, logit_trace
+from .modality_weighting import weight_norm_trace
 from .tensor import Segments, Tensor, no_grad, softmax_array
 
 logger = logging.getLogger(__name__)
@@ -71,8 +72,11 @@ TRACE_HEADER = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
+    """SGD and balance options. An instance is valid by construction: a
+    bad value raises ConfigError naming the option."""
+
     learning_rate: float = 0.2
     alpha: float = 0.1  # modulation degree
     batch_size: int = 10
@@ -81,21 +85,19 @@ class OptimizerConfig:
     seed: int = 0
     disable_modulation: bool = False
 
-    def validate(self):
-        if self.learning_rate <= 0.0:
-            raise ConfigError("learning_rate must be positive")
-        if self.alpha <= 0.0:
-            raise ConfigError("alpha must be positive")
+    def __post_init__(self):
+        check_fields(self, "optimizer options")
+        if min(self.learning_rate, self.alpha) <= 0.0:
+            raise ConfigError("learning_rate and alpha must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        return self
 
     @classmethod
     def from_dict(cls, payload):
-        check_fields(payload, cls, "optimizer options")
-        return cls(**payload).validate()
+        check_keys(payload, cls.__dataclass_fields__, "optimizer options")
+        return cls(**payload)
 
 
 @dataclass
@@ -329,7 +331,6 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
     ``trace_sink`` (or an internal list) and evaluates ``eval_data`` once
     per epoch.
     """
-    config.validate()
     active = tuple(active)
     noise_rng = np.random.default_rng(config.seed + 7919)
     use_noise = config.noise and not config.disable_modulation
@@ -361,7 +362,7 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
 
             losses = LossBreakdown.from_parts(
                 *(float(np.mean(term)) for term in terms))
-            norms = model.weight_norms(active=active).mean(axis=1)
+            norms = weight_norm_trace(model.head, active).mean(axis=1)
             traces.append(StepTrace(
                 epoch=epoch, step=step, losses=losses,
                 balance=BalanceState(scores=scores, ratios=ratios,

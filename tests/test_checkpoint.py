@@ -95,6 +95,8 @@ def test_model_save_load_round_trip(tmp_path):
     assert list(original) == list(restored)
     for name in original:
         assert np.array_equal(original[name].data, restored[name].data)
+    back.save(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 def test_model_load_rejects_mismatched_names(tmp_path):
@@ -138,4 +140,24 @@ def test_model_load_refuses_retired_option_in_use(tmp_path, option, value):
     path = tmp_path / "old.bin"
     _save_with_model_meta(path, model, **{option: value})
     with pytest.raises(CheckpointError, match=option):
+        Model.load(path)
+
+
+@pytest.mark.parametrize("header, culprit", [
+    ({"num_classes": 3.9}, "num_classes must be int"),
+    ({"num_classes": "3"}, "num_classes must be int"),
+    ({"dims": {"t": 6.2, "a": 5, "v": 4}}, "dims.t must be int"),
+    ({"dims": {"t": 6, "a": 5, "v": True}}, "dims.v must be int"),
+    ({"dims": {"t": 6, "a": 5, "v": 4, "x": 2}}, "'x'"),
+])
+def test_model_load_refuses_metadata_it_would_coerce(tmp_path, header,
+                                                      culprit):
+    model = Model(ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12),
+                  num_classes=3, dims={"t": 6, "a": 5, "v": 4}, seed=5)
+    arrays = {n: p.data for n, p in model.named_parameters().items()}
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, arrays, meta={
+        "model": model.config.to_dict(), "num_classes": 3,
+        "dims": {"t": 6, "a": 5, "v": 4}, **header})
+    with pytest.raises(CheckpointError, match=culprit):
         Model.load(path)

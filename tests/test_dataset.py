@@ -1,6 +1,7 @@
 """Synthetic generator, dataset file round-trips, and batching."""
 
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -99,13 +100,33 @@ def test_different_seed_differs():
 
 def test_spec_validation():
     with pytest.raises(DatasetError):
-        small_spec(num_classes=1).validate()
+        small_spec(num_classes=1)
     with pytest.raises(DatasetError, match="gamma.a"):
-        small_spec(gamma={"t": 1.0, "a": 1.5, "v": 1.0}).validate()
+        small_spec(gamma={"t": 1.0, "a": 1.5, "v": 1.0})
     with pytest.raises(DatasetError, match="dims.v"):
-        small_spec(dims={"t": 6, "a": 5, "v": 0}).validate()
+        small_spec(dims={"t": 6, "a": 5, "v": 0})
     with pytest.raises(DatasetError):
-        small_spec(utterances=(3, 2)).validate()
+        small_spec(utterances=(3, 2))
+
+
+@pytest.mark.parametrize("overrides, culprit", [
+    ({"dims": {"t": "x", "a": 5, "v": 4}}, "dims.t must be int"),
+    ({"gamma": {"t": 1.0, "a": None, "v": 1.0}}, "gamma.a must be float"),
+    ({"utterances": [2, 4]}, "utterances must be tuple"),
+    ({"seed": 1.0}, "seed must be int"),
+])
+def test_spec_rejects_a_value_of_the_wrong_type(overrides, culprit):
+    with pytest.raises(ConfigError,
+                       match=f"synthetic spec options: {culprit}"):
+        small_spec(**overrides)
+
+
+def test_spec_is_frozen_and_replace_rechecks_it():
+    spec = small_spec()
+    with pytest.raises(FrozenInstanceError):
+        spec.seed = -1
+    with pytest.raises(DatasetError, match="seed must be >= 0"):
+        replace(spec, seed=-1)
 
 
 def test_spec_from_dict_rejects_unknown_keys_and_bad_values():
@@ -126,6 +147,7 @@ def test_spec_from_dict_rejects_unknown_keys_and_bad_values():
     ({"gamma": {"t": 1.0, "a": False, "v": 1}}, "gamma.a must be float"),
     ({"gamma": {"t": float("inf"), "a": 1, "v": 1}}, "gamma.t must be finite"),
     ({"utterances": [2, 4.5]}, "utterances must be int"),
+    ({"noise_sigma": 10**400}, "noise_sigma must be finite"),
 ])
 def test_spec_from_dict_checks_value_types(payload, option):
     with pytest.raises(ConfigError, match=option):
@@ -387,11 +409,8 @@ def test_batches_cover_dataset_exactly_once():
 
 
 def test_batches_reject_empty_and_bad_size():
-    convs = generate(small_spec(conversations=3)).conversations
     with pytest.raises(DatasetError):
         batches([], 2, seed=0)
-    with pytest.raises(DatasetError):
-        batches(convs, 0, seed=0)
 
 
 def test_split_holdout_is_deterministic_partition():

@@ -1,12 +1,14 @@
 """Transformer encoder: shapes, equivariance, attention, gradients."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
 from modbalance import encoder
 from modbalance.encoder import EncoderParams, encode
 from modbalance.errors import ConfigError, ShapeError
-from modbalance.model import Model, ModelConfig
+from modbalance.model import ModelConfig
 from modbalance.tensor import Segments, Tensor, layer_norm_rows
 
 from conftest import assert_grad_matches
@@ -15,7 +17,7 @@ from conftest import assert_grad_matches
 def tiny_config(**overrides):
     base = dict(hidden=8, layers=1, heads=2, ffn=12)
     base.update(overrides)
-    return ModelConfig(**base).validate()
+    return ModelConfig(**base)
 
 
 def make_params(input_dim=5, seed=0, **overrides):
@@ -25,17 +27,35 @@ def make_params(input_dim=5, seed=0, **overrides):
 
 def test_config_rejects_bad_head_split():
     with pytest.raises(ConfigError, match="not divisible by 4 heads"):
-        ModelConfig(hidden=10, heads=4).validate()
+        ModelConfig(hidden=10, heads=4)
 
 
-@pytest.mark.parametrize("option", ["hidden", "layers", "heads", "ffn"])
+@pytest.mark.parametrize("option", ["hidden", "rank", "layers", "heads",
+                                    "ffn"])
 def test_config_rejects_zero_encoder_dimension(option):
     # heads=0 is checked before hidden % heads could divide by it
     with pytest.raises(ConfigError, match="must be positive"):
-        ModelConfig(**{option: 0}).validate()
-    with pytest.raises(ConfigError, match="must be positive"):
-        Model(ModelConfig(**{option: 0}), num_classes=3,
-              dims={"t": 6, "a": 5, "v": 4}, seed=0)
+        ModelConfig(**{option: 0})
+
+
+@pytest.mark.parametrize("options, culprit", [
+    ({"hidden": "8"}, "hidden must be int"),
+    ({"beta": True}, "beta must be float"),
+    ({"rank": 2.0}, "rank must be int"),
+    ({"disable_afw": 1}, "disable_afw must be bool"),
+])
+def test_config_rejects_a_value_of_the_wrong_type(options, culprit):
+    with pytest.raises(ConfigError, match=f"model options: {culprit}"):
+        ModelConfig(**options)
+    with pytest.raises(ConfigError, match=culprit):
+        replace(ModelConfig(), **options)
+
+
+def test_config_is_frozen():
+    config = ModelConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.hidden = 0
+    assert config.hidden == 32
 
 
 def test_output_shape_and_dim_check():

@@ -86,6 +86,26 @@ def test_contributions_bounded_by_one():
     assert np.abs(spread).max() <= 3.0 + 1e-12
 
 
+def test_huge_rows_and_columns_keep_their_cosines():
+    # squaring an entry past about 1.3e154 overflows: such a row or column
+    # is rescaled before its norm is taken; the others are left as they are
+    head = make_head(hidden=3, num_classes=2)
+    for m in MODS:
+        head.weights[m].data[:] = np.eye(3)[:, :2]
+    head.weights["v"].data[:, 1] = [0.0, 3e200, 4e200]
+    rows = np.array([[1e200, 2e200, 0.0], [1.0, 2.0, 3.0]])
+    features = {m: Tensor(rows.copy(), requires_grad=True) for m in MODS}
+    logits, contribs = fuse_modalities(features, head)
+    root5 = np.sqrt(5.0)
+    assert np.abs(contribs["t"].data[0] - [1 / root5, 2 / root5]).max() \
+        < 1e-15
+    assert np.abs(contribs["v"].data[0] - [1 / root5, 1.2 / root5]).max() \
+        < 1e-15
+    assert np.array_equal(contribs["t"].data[1], rows[1, :2] / np.sqrt(14.0))
+    logits.sum().backward()
+    assert all(np.isfinite(features[m].grad).all() for m in MODS)
+
+
 def test_zero_norm_row_floors_and_warns(caplog):
     rng = np.random.default_rng(4)
     head = make_head()

@@ -3,6 +3,7 @@
 import gc
 import math
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -210,16 +211,27 @@ def test_parameter_blocks_stay_views_of_the_flat_vectors(tmp_path):
 
 def test_optimizer_config_validation():
     with pytest.raises(ConfigError):
-        OptimizerConfig(learning_rate=0.0).validate()
+        OptimizerConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
-        OptimizerConfig(alpha=-1.0).validate()
+        OptimizerConfig(alpha=-1.0)
     with pytest.raises(ConfigError, match="seed"):
-        OptimizerConfig(seed=-1).validate()
+        OptimizerConfig(seed=-1)
     with pytest.raises(ConfigError):
         OptimizerConfig.from_dict({"learning_rate": 0.1, "bogus": 1})
     for retired in ({"noise_estimate": "sample"}, {"noise_scale": 0.1}):
         with pytest.raises(ConfigError, match=next(iter(retired))):
             OptimizerConfig.from_dict(retired)
+    with pytest.raises(ConfigError,
+                       match="optimizer options: epochs must be int"):
+        OptimizerConfig(epochs=2.5)
+    with pytest.raises(ConfigError, match="noise must be bool"):
+        OptimizerConfig(noise=1)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        replace(OptimizerConfig(), seed=-1)
+    config = OptimizerConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.batch_size = 0
+    assert config.batch_size == 10
 
 
 # --- training loop ---
