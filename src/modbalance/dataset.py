@@ -9,7 +9,9 @@ modality dominant.
 """
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,11 +54,13 @@ class SynthSpec:
     data. An instance is valid by construction: a value of the wrong type
     (or a non-finite float) raises ConfigError and one out of range
     DatasetError, each naming the option. An int given for a float is
-    stored as a float."""
+    stored as a float, and ``dims`` and ``gamma`` are stored as read-only
+    copies."""
 
     num_classes: int = 4
-    dims: dict = field(default_factory=lambda: {"t": 16, "a": 12, "v": 12})
-    gamma: dict = field(default_factory=lambda: {"t": 1.0, "a": 1.0, "v": 1.0})
+    dims: Mapping = field(default_factory=lambda: {"t": 16, "a": 12, "v": 12})
+    gamma: Mapping = field(
+        default_factory=lambda: {"t": 1.0, "a": 1.0, "v": 1.0})
     noise_sigma: float = 0.5
     conversations: int = 60
     utterances: tuple = (5, 10)
@@ -76,8 +80,9 @@ class SynthSpec:
         for value in self.utterances:
             check_value(value, int, f"{what}: utterances")
         object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
-        object.__setattr__(self, "gamma",
-                           {m: float(g) for m, g in self.gamma.items()})
+        object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
+        object.__setattr__(self, "gamma", MappingProxyType(
+            {m: float(g) for m, g in self.gamma.items()}))
         if self.num_classes < 2:
             raise DatasetError("num_classes must be >= 2")
         for m in MODALITIES:

@@ -19,7 +19,6 @@ encoder gradients its noise estimate needs.
 
 import numpy as np
 
-from .errors import ShapeError
 from .tensor import (
     Tensor,
     accumulate,
@@ -52,7 +51,6 @@ class EncoderParams:
 
     def __init__(self, input_dim, config, rng):
         h, f = config.hidden, config.ffn
-        self.input_dim = input_dim
         self.heads = config.heads
         self.w_in = uniform_init(rng, (input_dim, h), input_dim)
         self.b_in = zeros_param((h,))
@@ -136,12 +134,8 @@ def encode(x, params, segments):
     """Map raw utterance features (N x d_m) to hidden states (N x h).
 
     ``segments`` marks the conversations of the rows (see the module note).
+    The caller (``Model.forward``) checks the shape of ``x``.
     """
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ShapeError(
-            f"encoder expects (N, {params.input_dim}) input, got {x.shape}")
     z = linear(x, params.w_in, params.b_in, segments)
     for block in params.blocks:
         attn = _self_attention(z, block, params.heads, segments)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+from collections.abc import Mapping
 
 
 class ModBalanceError(Exception):
@@ -29,8 +30,9 @@ class CheckpointError(ModBalanceError):
 
 
 def check_keys(payload, known, what):
-    """Raise ConfigError unless ``payload`` is a dict with only ``known`` keys."""
-    if not isinstance(payload, dict):
+    """Raise ConfigError unless ``payload`` is a mapping with only ``known``
+    keys."""
+    if not isinstance(payload, Mapping):
         raise ConfigError(f"{what} must be a JSON object, got {payload!r}")
     unknown = set(payload) - set(known)
     if unknown:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .dataset import MODALITIES
 from .encoder import uniform_init, zeros_param
-from .errors import ShapeError
 from .tensor import Tensor, accumulate, linear, softmax_array, softmax_vjp
 
 
@@ -58,7 +57,6 @@ class FeatureWeightParams:
 class AfwState:
     """The feature-weighting outputs of a pack, keyed by modality."""
 
-    pooled: dict  # modality -> (S, r, r), one per conversation
     attention: dict  # modality -> (N, h)
     mapped: dict  # modality -> (N, h) mapper predictions
     balanced: dict  # modality -> (N, h)
@@ -72,9 +70,6 @@ def make_cores(z, w1, w2):
     """
     first = z.data @ w1.data
     second = z.data @ w2.data
-    if second.shape != first.shape:
-        raise ShapeError(
-            f"core projections disagree: {first.shape} vs {second.shape}")
 
     def backward(g):
         g_first = (g * second[:, None, :]).sum(axis=2)
@@ -90,9 +85,6 @@ def make_cores(z, w1, w2):
 def attention_coefficients(cores_q, cores_k):
     """Per-utterance softmax over the element-wise core product, scaled by
     1/rank (one over the square root of the rank * rank grid size)."""
-    if cores_q.shape != cores_k.shape:
-        raise ShapeError(
-            f"query/key cores disagree: {cores_q.shape} vs {cores_k.shape}")
     n, rank, _ = cores_q.shape
     scale = 1.0 / rank
     scores = (cores_q.data * cores_k.data) * scale
@@ -125,22 +117,13 @@ def feature_attention(coefficients, pooled, out_map, segments,
     """Chain contractions with every active modality's pooled attention.
 
     The chain is what couples the modalities: perturbing any pooled matrix
-    changes the result. Raises if a required pooled matrix is missing.
-    Each pooled matrix is a stack of one per conversation of ``segments``,
-    and each row is contracted with its own conversation's.
+    changes the result. Each pooled matrix is a stack of one per
+    conversation of ``segments``, and each row is contracted with its own
+    conversation's.
     """
     n, r1, r2 = coefficients.shape
     s = len(segments)
-    expected = (s, r2, r2)
-    factors = []
-    for m in active:
-        if m not in pooled:
-            raise ShapeError(f"missing pooled attention for modality {m!r}")
-        if pooled[m].shape != expected:
-            raise ShapeError(
-                f"pooled attention of {m!r} is {pooled[m].shape}, expected "
-                f"{expected}")
-        factors.append(pooled[m])
+    factors = [pooled[m] for m in active]
     # each row's own factor; take is several times faster than indexing
     row_factors = [p.data.take(segments.ids, axis=0) for p in factors]
     # chain[i] is the coefficients contracted with the first i factors
@@ -200,5 +183,4 @@ def forward(z, params, beta, segments, active=MODALITIES):
                                          params[m].out, segments, active)
         mapped[m] = map_attention(z[m], params[m])
         balanced[m] = fuse_features(attention[m], z[m], beta)
-    return AfwState(pooled=pooled, attention=attention, mapped=mapped,
-                    balanced=balanced)
+    return AfwState(attention=attention, mapped=mapped, balanced=balanced)

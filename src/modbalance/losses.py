@@ -79,16 +79,6 @@ def modal_loss(fused, labels, segments=None):
     return _cross_entropy(fused, labels, segments)
 
 
-def _check_pairs(attention, mapped):
-    for m in attention:
-        if attention[m].shape != mapped[m].shape:
-            raise ShapeError(
-                f"modality {m!r} attention {attention[m].shape} does not "
-                f"match prediction {mapped[m].shape}")
-    if not attention:
-        raise ShapeError("feature loss needs at least one modality")
-
-
 def feature_loss(attention, mapped, segments=None):
     """Per-utterance mean of the summed L1 gap, over all modalities, as one
     node.
@@ -96,7 +86,6 @@ def feature_loss(attention, mapped, segments=None):
     Zero exactly when every attention map equals its prediction; symmetric
     in its two arguments.
     """
-    _check_pairs(attention, mapped)
     parents = [t for m in attention for t in (attention[m], mapped[m])]
     segments = segments or Segments([parents[0].shape[0]])
     gaps = [att.data - hat.data for att, hat in zip(parents[::2],

@@ -18,7 +18,6 @@ import numpy as np
 
 from .dataset import MODALITIES
 from .encoder import uniform_init, zeros_param
-from .errors import ShapeError
 from .tensor import Tensor, accumulate, linear
 
 logger = logging.getLogger(__name__)
@@ -114,19 +113,11 @@ def fuse_modalities(features, head, active=MODALITIES, normalized=True):
     entry is a cosine in [-1, 1]; without it the fusion degrades to a plain
     linear map (the no-normalization ablation).
     """
-    if not active:
-        raise ShapeError("fusion requires at least one modality")
     contributions = {}
     logits = None
     for m in active:
-        if m not in features:
-            raise ShapeError(f"missing features for modality {m!r}")
         z = features[m]
         w = head.weights[m]
-        if z.shape[1] != w.shape[0]:
-            raise ShapeError(
-                f"modality {m!r} features {z.shape} do not match head "
-                f"{w.shape}")
         if normalized:
             contrib = _cosine_logits(z, w, m)
         else:

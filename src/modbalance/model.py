@@ -22,8 +22,8 @@ from . import feature_weighting as afw
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import MODALITIES
 from .encoder import EncoderParams, encode
-from .errors import (CheckpointError, ConfigError, check_fields, check_keys,
-                     check_value)
+from .errors import (CheckpointError, ConfigError, ShapeError, check_fields,
+                     check_keys, check_value)
 from .modality_weighting import (
     ClassifierParams,
     FusionHead,
@@ -163,8 +163,16 @@ class Model:
         the full pipeline.
 
         ``features`` maps modality -> (N, d_m) arrays; ``active`` selects
-        the modality subset (nonempty). Without ``segments`` the N rows are
-        one conversation. AFW pools each conversation on its own.
+        the modality subset. Without ``segments`` the N rows are one
+        conversation. AFW pools each conversation on its own.
+
+        This is the one place a forward's inputs are checked; the ops below
+        it trust the shapes it passes on. ``active`` must be a nonempty
+        subset of ``MODALITIES`` (else ConfigError), and each active
+        modality must be in ``features`` as a 2-D array of width
+        ``dims[m]``, with as many rows as the first active one and at
+        least one (else ShapeError naming the modality). Inactive
+        modalities are not read.
         """
         active = tuple(active)
         if not active:
@@ -172,7 +180,21 @@ class Model:
         for m in active:
             if m not in MODALITIES:
                 raise ConfigError(f"unknown modality {m!r}")
-        segments = segments or Segments([np.shape(features[active[0]])[0]])
+        n = None
+        for m in active:
+            if m not in features:
+                raise ShapeError(f"no features for active modality {m!r}")
+            shape = np.shape(features[m])
+            if len(shape) != 2 or shape[1] != self.dims[m]:
+                raise ShapeError(f"modality {m!r} expects (N, {self.dims[m]}) "
+                                 f"features, got shape {shape}")
+            n = shape[0] if n is None else n
+            if shape[0] != n:
+                raise ShapeError(f"modality {m!r} has {shape[0]} rows, "
+                                 f"{active[0]!r} has {n}")
+            if not n:
+                raise ShapeError(f"modality {m!r} has no rows")
+        segments = segments or Segments([n])
         z = {m: encode(features[m], self.encoders[m], segments) for m in active}
         if self.config.disable_afw:
             state = None

@@ -303,9 +303,6 @@ def linear(x, w, b, segments=None):
     """Affine map ``x @ w + b`` of the rows of ``x``, as one graph node;
     ``segments`` may ask for per-conversation gradients of ``w`` and ``b``."""
     x = _as_tensor(x)
-    if x.data.ndim != 2 or w.data.shape[0] != x.data.shape[1]:
-        raise ShapeError(f"linear expects (N, {w.data.shape[0]}) input, "
-                         f"got {x.shape}")
 
     def backward(g):
         if x.requires_grad:

@@ -266,17 +266,18 @@ def backward_batch(model, batch, conv_grads=None, active=MODALITIES, step=0):
             np.concatenate(labels), np.hstack(terms))
 
 
-def checked_noise_std(model, batch, conv_grads, step, active, noise):
+def checked_noise_std(model, batch, conv_grads, step, active):
     """Check a step's gradients, then return its noise scale.
 
-    A non-finite entry of ``model.grad`` raises a DivergenceError naming
-    the step, the first such block and, with ``noise``, when a row of
-    ``conv_grads`` is non-finite, the first such conversation of
-    ``batch``. Without ``noise`` the scale is None and ``conv_grads`` is
-    not read; otherwise it is ``_noise_std`` of each active modality's
-    columns of the batch's rows.
+    ``conv_grads`` holds the batch's per-conversation encoder gradient
+    rows, which exist exactly when noise is drawn, or is None. A
+    non-finite entry of ``model.grad`` raises a DivergenceError naming the
+    step, the first such block and, when a row of ``conv_grads`` is
+    non-finite, the first such conversation of ``batch``. Without rows the
+    scale is None; otherwise it is ``_noise_std`` of each active
+    modality's columns of the batch's rows.
     """
-    rows = conv_grads[:len(batch)] if noise else None
+    rows = None if conv_grads is None else conv_grads[:len(batch)]
     finite = np.isfinite(model.grad)
     if not finite.all():  # argmin finds the first False
         block = list(model.named_parameters())[
@@ -349,7 +350,7 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
             stacked, all_labels, terms = backward_batch(
                 model, batch, conv_grads, active, step)
             noise_std = checked_noise_std(model, batch, conv_grads, step,
-                                          active, use_noise)
+                                          active)
             grads = model.grad / len(batch)
             scores = {m: unimodal_score(stacked[m], all_labels) for m in active}
             ratios = discrepancy_ratio(scores)

@@ -127,6 +127,10 @@ def test_spec_is_frozen_and_replace_rechecks_it():
         spec.seed = -1
     with pytest.raises(DatasetError, match="seed must be >= 0"):
         replace(spec, seed=-1)
+    for name, value in (("gamma", "x"), ("dims", 0)):
+        with pytest.raises(TypeError):
+            getattr(spec, name)["t"] = value
+    assert replace(spec, seed=1).dims == {"t": 6, "a": 5, "v": 4}
 
 
 def test_spec_from_dict_rejects_unknown_keys_and_bad_values():

@@ -8,7 +8,7 @@ import pytest
 from modbalance import encoder
 from modbalance.encoder import EncoderParams, encode
 from modbalance.errors import ConfigError, ShapeError
-from modbalance.model import ModelConfig
+from modbalance.model import Model, ModelConfig
 from modbalance.tensor import Segments, Tensor, layer_norm_rows
 
 from conftest import assert_grad_matches
@@ -63,8 +63,33 @@ def test_output_shape_and_dim_check():
     rng = np.random.default_rng(1)
     z = encode(rng.standard_normal((6, 5)), params, Segments([6]))
     assert z.shape == (6, 8)
-    with pytest.raises(ShapeError):
-        encode(rng.standard_normal((6, 4)), params, Segments([6]))
+
+
+@pytest.mark.parametrize("edit, culprit", [
+    ({"a": None}, "a"),
+    ({"a": np.ones(24)}, "a"),
+    ({"a": np.ones((6, 5))}, "a"),
+    ({"a": np.ones((5, 4))}, "a"),
+    ({"t": np.ones((0, 5)), "a": np.ones((0, 4))}, "t"),
+], ids=["missing", "not_2d", "width", "rows_differ", "no_rows"])
+@pytest.mark.parametrize("disable_afw", [False, True], ids=["afw", "no_afw"])
+def test_forward_names_the_modality_of_a_bad_input(edit, culprit,
+                                                   disable_afw):
+    """``Model.forward`` refuses a bad active input with a ShapeError
+    naming its modality; the inactive one may be absent."""
+    model = Model(tiny_config(disable_afw=disable_afw), num_classes=3,
+                  dims={"t": 5, "a": 4, "v": 3}, seed=0)
+    rng = np.random.default_rng(2)
+    features = {"t": rng.standard_normal((6, 5)),
+                "a": rng.standard_normal((6, 4))}
+    assert model.forward(features, ("t", "a")).outputs.shape == (6, 3)
+    for m, value in edit.items():
+        if value is None:
+            del features[m]
+        else:
+            features[m] = value
+    with pytest.raises(ShapeError, match=f"modality '{culprit}'"):
+        model.forward(features, ("t", "a"))
 
 
 def collect_attention(monkeypatch):

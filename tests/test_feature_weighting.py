@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from modbalance.errors import ShapeError
 from modbalance.feature_weighting import (
     FeatureWeightParams,
     attention_coefficients,
@@ -158,16 +157,6 @@ def test_feature_attention_matches_composed_loop_oracle():
     assert np.abs(result.data - expected).max() < 1e-10
 
 
-def test_feature_attention_requires_all_active_modalities():
-    rng = np.random.default_rng(10)
-    theta = Tensor(rng.random((3, 2, 2)))
-    pooled = _random_pooled(rng)
-    del pooled["a"]
-    with pytest.raises(ShapeError, match="'a'"):
-        feature_attention(theta, pooled, Tensor(rng.standard_normal((4, 5))),
-                          Segments([3]))
-
-
 def test_cross_modal_coupling_has_nonzero_gradient():
     # perturbing the audio pooled matrix must change the text attention
     rng = np.random.default_rng(11)
@@ -318,7 +307,5 @@ def test_forward_respects_modality_subset():
     z = {m: Tensor(rng.standard_normal((2, 3))) for m in ("t", "a")}
     state = forward(z, params, beta=0.5, segments=Segments([2]),
                     active=("t", "a"))
-    assert set(state.balanced) == {"t", "a"}
-    assert set(state.pooled) == {"t", "a"}
-    # one pooled matrix per conversation
-    assert state.pooled["t"].shape == (1, 2, 2)
+    assert set(state.balanced) == set(state.attention) == {"t", "a"}
+    assert state.attention["t"].shape == (2, 3)

@@ -109,13 +109,6 @@ def test_feature_loss_nonnegative():
     assert feature_loss(att, mapped).item() >= 0.0
 
 
-def test_feature_loss_rejects_shape_mismatch():
-    att = _maps({"t": np.zeros((2, 3))})
-    mapped = _maps({"t": np.zeros((2, 4))})
-    with pytest.raises(ShapeError):
-        feature_loss(att, mapped)
-
-
 # --- modality balance loss ---
 
 def test_modal_loss_fixed_logits_closed_form():

@@ -102,11 +102,6 @@ def test_contract_last_matches_loop_oracle():
     assert np.abs(out.data - expected.reshape(3, 16)).max() < 1e-12
 
 
-def test_contract_last_rejects_rank_mismatch():
-    with pytest.raises(ShapeError):
-        contract_last(Tensor(np.ones((2, 3, 3))), Tensor(np.ones((1, 4, 4))))
-
-
 # --- softmax ---
 
 def test_softmax_uniform_row():
@@ -218,8 +213,6 @@ def test_linear_matches_composed_ops():
     x, w, b = (rng.standard_normal(s) for s in ((3, 4), (4, 2), (2,)))
     out = linear(Tensor(x), Tensor(w), Tensor(b))
     assert np.array_equal(out.data, x @ w + b)
-    with pytest.raises(ShapeError):
-        linear(Tensor(np.ones((3, 5))), Tensor(w), Tensor(b))
 
 
 def test_grad_relu():

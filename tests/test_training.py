@@ -170,7 +170,7 @@ def test_gradient_check_rejects_non_finite_gradient():
     conv_grads = np.zeros((len(batch), model.encoder_size))
     start = model.theta.copy()
     with pytest.raises(DivergenceError, match="encoder.t.block0.w1"):
-        checked_noise_std(model, batch, conv_grads, 1, MODS, True)
+        checked_noise_std(model, batch, conv_grads, 1, MODS)
     assert np.array_equal(model.theta, start)
 
 
