@@ -27,7 +27,6 @@ from .tensor import (
     layer_norm_rows,
     linear,
     softmax_array,
-    softmax_vjp,
 )
 
 
@@ -86,22 +85,27 @@ def _self_attention(x, block, heads, segments):
 
     The query, key and value weights stay separate parameters; they are
     joined column-wise here so one matmul projects all three. Each
-    conversation of ``segments`` attends only to its own rows.
+    conversation of ``segments`` attends only to its own rows. Queries,
+    keys and values are head-major (heads, n, head_dim) views, so a
+    conversation's rows of each are one slice, and ``matmul`` writes its
+    attended values straight into its rows of the (n, heads, head_dim)
+    output.
     """
     wq, wk, wv, wo, bo = (block[k] for k in ("wq", "wk", "wv", "wo", "bo"))
     n, h = x.shape
     head_dim = h // heads
     scale = 1.0 / np.sqrt(head_dim)
     w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
-    # (n, 3h) -> per conversation, three (heads, rows, head_dim) stacks
-    qkv = (x.data @ w_qkv).reshape(n, 3, heads, head_dim)
+    # (n, 3h) -> a (3, heads, n, head_dim) view
+    qkv = (x.data @ w_qkv).reshape(n, 3, heads, head_dim).transpose(
+        1, 2, 0, 3)
     mixed = np.empty((n, heads, head_dim))
-    attended = []
+    attention = []
     for rows in segments.slices:
-        q, k, v = qkv[rows].transpose(1, 2, 0, 3)
+        q, k, v = qkv[:, :, rows]
         weights = softmax_array(np.matmul(q, k.swapaxes(1, 2)) * scale, axis=2)
-        mixed[rows] = np.matmul(weights, v).transpose(1, 0, 2)
-        attended.append((q, k, v, weights))
+        np.matmul(weights, v, out=mixed[rows].transpose(1, 0, 2))
+        attention.append(weights)
     mixed = mixed.reshape(n, h)
 
     def backward(g):
@@ -109,11 +113,15 @@ def _self_attention(x, block, heads, segments):
         g_mixed = (g @ wo.data.T).reshape(n, heads, head_dim)
         g_mixed = g_mixed.transpose(1, 0, 2)
         g_qkv = np.empty((3, heads, n, head_dim))
-        for rows, (q, k, v, weights) in zip(segments.slices, attended):
-            g_heads = g_mixed[:, rows]
-            g_scores = softmax_vjp(
-                weights, np.matmul(g_heads, v.swapaxes(1, 2)), axis=2) * scale
+        for rows, weights in zip(segments.slices, attention):
+            q, k, v = qkv[:, :, rows]
             g_q, g_k, g_v = g_qkv[:, :, rows]
+            g_heads = g_mixed[:, rows]
+            # softmax_vjp's arithmetic in place, then the score scale
+            g_scores = np.matmul(g_heads, v.swapaxes(1, 2))
+            g_scores -= (g_scores * weights).sum(axis=2, keepdims=True)
+            g_scores *= weights
+            g_scores *= scale
             np.matmul(g_scores, k, out=g_q)
             np.matmul(g_scores.swapaxes(1, 2), q, out=g_k)
             np.matmul(weights.swapaxes(1, 2), g_heads, out=g_v)

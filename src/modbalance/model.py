@@ -144,6 +144,12 @@ class Model:
     def zero_grad(self):
         self.grad.fill(0.0)
 
+    def block_name(self, index):
+        """Name of the parameter block that holds entry ``index`` of
+        ``theta`` (and of ``grad``)."""
+        return list(self._registry)[
+            np.searchsorted(self.offsets, index, "right") - 1]
+
     def encoder_grad_rows(self, rows):
         """Map each encoder block to a (len(rows), *shape) view of its
         columns of ``rows``, a (B, encoder_size) matrix laid out as the
@@ -169,10 +175,10 @@ class Model:
         This is the one place a forward's inputs are checked; the ops below
         it trust the shapes it passes on. ``active`` must be a nonempty
         subset of ``MODALITIES`` (else ConfigError), and each active
-        modality must be in ``features`` as a 2-D array of width
-        ``dims[m]``, with as many rows as the first active one and at
-        least one (else ShapeError naming the modality). Inactive
-        modalities are not read.
+        modality must be in ``features`` as a 2-D array of integer or real
+        floating dtype and width ``dims[m]``, with as many rows as the
+        first active one and at least one (else ShapeError naming the
+        modality). Inactive modalities are not read.
         """
         active = tuple(active)
         if not active:
@@ -184,7 +190,11 @@ class Model:
         for m in active:
             if m not in features:
                 raise ShapeError(f"no features for active modality {m!r}")
-            shape = np.shape(features[m])
+            array = np.asarray(features[m])
+            if array.dtype.kind not in "iuf":
+                raise ShapeError(f"modality {m!r} features must be real "
+                                 f"numbers, got dtype {array.dtype}")
+            shape = array.shape
             if len(shape) != 2 or shape[1] != self.dims[m]:
                 raise ShapeError(f"modality {m!r} expects (N, {self.dims[m]}) "
                                  f"features, got shape {shape}")
@@ -252,4 +262,9 @@ class Model:
                     f"{path}: {name} has shape {arrays[name].shape}, "
                     f"expected {p.data.shape}")
             p.data[...] = arrays[name]
+        finite = np.isfinite(model.theta)
+        if not finite.all():  # argmin finds the first False
+            raise CheckpointError(
+                f"{path}: {model.block_name(finite.argmin())} holds a "
+                "non-finite value")
         return model

@@ -16,9 +16,11 @@ A graph runs one or more conversations, packed row-wise into one
 sequence; ``Segments`` says which rows belong to which conversation, and a
 lone conversation of N rows is ``Segments([N])``. Only ops that mix rows
 need it. It can also carry per-conversation gradient rows for some
-parameter blocks: an op that finds its parameter there adds each
-conversation's gradient into that conversation's row rather than one sum
-into ``grad`` (the per-example gradients of Goodfellow, arXiv:1510.01799).
+parameter blocks: an op that finds its parameter there writes each
+conversation's gradient into that conversation's row rather than adding
+one sum into ``grad`` (the per-example gradients of Goodfellow,
+arXiv:1510.01799). Each such block feeds exactly one node of a graph, so
+its rows are written once per backward and need no zeroing before it.
 
 Each graph node costs Python overhead, so the hot layers are single fused
 nodes with a hand-written backward: ``linear`` and ``layer_norm_rows``
@@ -89,8 +91,8 @@ class Segments:
     ``slices`` holds each conversation's rows, ``ids`` the conversation of
     each row and ``inv_lengths`` one over each conversation's length.
     ``grads`` maps parameter blocks to (S, *shape) arrays whose row j
-    receives conversation j's gradient of that block (see
-    ``accumulate_params``).
+    is written, once per backward, with conversation j's gradient of that
+    block (see ``accumulate_params``).
     """
 
     def __init__(self, lengths, grads=None):
@@ -135,14 +137,16 @@ def accumulate_params(params, grads_of, arrays, segments=None):
     Without per-conversation rows for ``params`` in ``segments``, it runs
     on the arrays as they are and feeds ``accumulate``. With them, it runs
     on their padded stacks (``Segments.pad``), so each gradient gains a
-    leading conversation axis, and is added into ``segments.grads``.
+    leading conversation axis, and is written over the rows of
+    ``segments.grads``: a block with rows feeds only this node, so nothing
+    else adds to them.
     """
     if segments is None or params[0] not in segments.grads:
         for p, g in zip(params, grads_of(*arrays)):
             accumulate(p, g)
         return
     for p, g in zip(params, grads_of(*map(segments.pad, arrays))):
-        segments.grads[p] += g
+        segments.grads[p][...] = g
 
 
 def affine_grads(x, g):

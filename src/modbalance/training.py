@@ -18,12 +18,15 @@ pack's utterances row-wise, and runs one forward and one backward per
 pack. The non-encoder gradients accumulate in ``model.grad``. When noise
 is drawn, the encoder nodes write each conversation's encoder gradient
 into its row of one (largest batch, encoder_size) matrix that ``train``
-allocates once; otherwise they too accumulate in ``model.grad``.
+allocates once; otherwise they too accumulate in ``model.grad``. Each row
+is written once per step, so it is never zeroed; only the columns of
+inactive modalities, which no node writes, are set to zero.
 
 So a step is: ``backward_batch`` (every pack's forward and backward, then
 the sum of any rows into ``model.grad``), ``checked_noise_std`` (a
 DivergenceError on a non-finite gradient, else each modality's noise
-scale from its columns of the rows), then ``apply_update``, the step.
+scale, taken in place on its columns of the rows, which are scratch
+afterwards), then ``apply_update``, the step.
 """
 
 import logging
@@ -236,13 +239,17 @@ def backward_batch(model, batch, conv_grads=None, active=MODALITIES, step=0):
 
     Afterwards ``model.grad`` holds the gradient summed over the batch and,
     if ``conv_grads`` (a (>= len(batch), encoder_size) matrix) is given,
-    its row i conversation i's encoder gradient. Returns each active
-    modality's balance-score logits and the labels, over the batch's
-    utterances, and the (3, B) loss terms of its conversations.
+    its row i conversation i's encoder gradient. The active modalities'
+    columns of those rows are written by the backward passes, whatever
+    they held before; the inactive ones' are set to zero here. Returns
+    each active modality's balance-score logits and the labels, over the
+    batch's utterances, and the (3, B) loss terms of its conversations.
     """
     model.zero_grad()
     if conv_grads is not None:
-        conv_grads[:len(batch)] = 0.0
+        for m in MODALITIES:
+            if m not in active:
+                conv_grads[:len(batch), model.encoder_spans[m]] = 0.0
     score_logits = {m: [] for m in active}
     labels, terms = [], []
     first = 0
@@ -275,36 +282,57 @@ def checked_noise_std(model, batch, conv_grads, step, active):
     step, the first such block and, when a row of ``conv_grads`` is
     non-finite, the first such conversation of ``batch``. Without rows the
     scale is None; otherwise it is ``_noise_std`` of each active
-    modality's columns of the batch's rows.
+    modality's columns of the batch's rows, which it overwrites: the rows
+    are scratch afterwards. ``model.grad`` is left as it is.
     """
     rows = None if conv_grads is None else conv_grads[:len(batch)]
     finite = np.isfinite(model.grad)
     if not finite.all():  # argmin finds the first False
-        block = list(model.named_parameters())[
-            np.searchsorted(model.offsets, finite.argmin(), "right") - 1]
         bad = [] if rows is None else np.flatnonzero(
             ~np.isfinite(rows).all(axis=1))
         at = f", conversation {batch[bad[0]].id}" if len(bad) else ""
         raise DivergenceError(f"step {step}{at}: non-finite gradient in "
-                              f"{block}")
+                              f"{model.block_name(finite.argmin())}")
     if rows is None:
         return None
-    return _noise_std({m: rows[:, model.encoder_spans[m]] for m in active})
+    return _noise_std(rows, model.grad[:model.encoder_size],
+                      {m: model.encoder_spans[m] for m in active})
 
 
-def _noise_std(rows):
+def _noise_std(rows, sums, spans):
     """Per-parameter noise scale for each modulated encoder span.
 
-    ``rows`` maps modalities to finite (B, P_m) matrices of per-conversation
-    encoder gradients. The scale is the diagonal std of the minibatch mean
-    gradient, i.e. the sample standard deviation of each parameter's
-    gradient across the conversations divided by sqrt(B); this matches the
-    sampling noise the SGD estimate already carries. A batch of one
-    conversation gets zero noise.
+    ``rows`` is the finite (B, encoder_size) matrix of per-conversation
+    encoder gradients, ``sums`` its column sums in row order (the encoder
+    part of the batch gradient) and ``spans`` maps modalities to their
+    columns. The scale is the diagonal std of the minibatch mean gradient,
+    i.e. the sample standard deviation of each parameter's gradient across
+    the conversations divided by sqrt(B); this matches the sampling noise
+    the SGD estimate already carries. A batch of one conversation gets
+    zero noise.
+
+    It works in place on each span's columns of ``rows``, which are
+    scratch afterwards, with the steps of ``ndarray.std(ddof=1)`` in its
+    order: the mean is ``sums / B``, then subtract, square, sum the rows,
+    divide by B - 1 and take the square root. So the scale is bit for bit
+    ``rows[:, span].std(axis=0, ddof=1) / sqrt(B)``, without its (B, P_m)
+    temporary.
     """
-    return {m: (r.std(axis=0, ddof=1) / np.sqrt(len(r)) if len(r) > 1
-                else np.zeros(r.shape[1]))
-            for m, r in rows.items()}
+    b = len(rows)
+    if b == 1:
+        return {m: np.zeros(span.stop - span.start)
+                for m, span in spans.items()}
+    scale = {}
+    for m, span in spans.items():
+        centered = rows[:, span]
+        centered -= sums[span] / b
+        np.square(centered, out=centered)
+        std = centered.sum(axis=0)
+        std /= b - 1
+        np.sqrt(std, out=std)
+        std /= np.sqrt(b)
+        scale[m] = std
+    return scale
 
 
 def evaluate(model, conversations, active=MODALITIES):

@@ -1,6 +1,7 @@
 """Checkpoint format and full-model persistence."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -97,6 +98,24 @@ def test_model_save_load_round_trip(tmp_path):
         assert np.array_equal(original[name].data, restored[name].data)
     back.save(tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("block, value", [
+    ("classifier.w2", float("nan")),
+    ("encoder.a.block0.wq", float("inf")),
+    ("head.b", -float("inf")),
+])
+def test_model_load_refuses_non_finite_parameters(tmp_path, block, value):
+    config = ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12)
+    model = Model(config, num_classes=3, dims={"t": 6, "a": 5, "v": 4}, seed=5)
+    model.named_parameters()[block].data.flat[1] = value
+    model.named_parameters()["classifier.b2"].data.flat[0] = float("nan")
+    path = tmp_path / "model.bin"
+    model.save(path)
+    # the first non-finite block in registry order is named
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: {block} holds a non-finite value")):
+        Model.load(path)
 
 
 def test_model_load_rejects_mismatched_names(tmp_path):

@@ -9,7 +9,16 @@ from modbalance import encoder
 from modbalance.encoder import EncoderParams, encode
 from modbalance.errors import ConfigError, ShapeError
 from modbalance.model import Model, ModelConfig
-from modbalance.tensor import Segments, Tensor, layer_norm_rows
+from modbalance.tensor import (
+    Segments,
+    Tensor,
+    accumulate,
+    accumulate_params,
+    affine_grads,
+    layer_norm_rows,
+    softmax_array,
+    softmax_vjp,
+)
 
 from conftest import assert_grad_matches
 
@@ -71,7 +80,12 @@ def test_output_shape_and_dim_check():
     ({"a": np.ones((6, 5))}, "a"),
     ({"a": np.ones((5, 4))}, "a"),
     ({"t": np.ones((0, 5)), "a": np.ones((0, 4))}, "t"),
-], ids=["missing", "not_2d", "width", "rows_differ", "no_rows"])
+    ({"a": np.ones((6, 4)).astype(str)}, "a"),
+    ({"a": np.ones((6, 4), dtype=bool)}, "a"),
+    ({"a": np.ones((6, 4), dtype=object)}, "a"),
+    ({"a": np.ones((6, 4), dtype=complex)}, "a"),
+], ids=["missing", "not_2d", "width", "rows_differ", "no_rows", "strings",
+        "booleans", "objects", "complex"])
 @pytest.mark.parametrize("disable_afw", [False, True], ids=["afw", "no_afw"])
 def test_forward_names_the_modality_of_a_bad_input(edit, culprit,
                                                    disable_afw):
@@ -90,6 +104,17 @@ def test_forward_names_the_modality_of_a_bad_input(edit, culprit,
             features[m] = value
     with pytest.raises(ShapeError, match=f"modality '{culprit}'"):
         model.forward(features, ("t", "a"))
+
+
+def test_forward_takes_integer_features_as_numbers():
+    model = Model(tiny_config(), num_classes=3,
+                  dims={"t": 5, "a": 4, "v": 3}, seed=0)
+    counts = np.arange(24).reshape(6, 4) % 3
+    features = {"t": np.ones((6, 5), dtype=np.int32), "a": counts}
+    out = model.forward(features, ("t", "a"))
+    floats = model.forward({m: x.astype(np.float64)
+                            for m, x in features.items()}, ("t", "a"))
+    assert np.array_equal(out.outputs.data, floats.outputs.data)
 
 
 def collect_attention(monkeypatch):
@@ -200,3 +225,85 @@ def test_self_attention_gradients_match_finite_differences(n):
     assert_grad_matches(
         lambda: (encoder._self_attention(x, block, 2, segments) * r).sum(),
         leaves)
+
+
+def reference_self_attention(x, block, heads, segments):
+    """Self-attention as the per-conversation loop first wrote it: token-
+    major projections, a copy of each conversation's attended values and
+    an out-of-place softmax VJP. ``_self_attention`` must give the same
+    bits."""
+    wq, wk, wv, wo, bo = (block[k] for k in ("wq", "wk", "wv", "wo", "bo"))
+    n, h = x.shape
+    head_dim = h // heads
+    scale = 1.0 / np.sqrt(head_dim)
+    w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    qkv = (x.data @ w_qkv).reshape(n, 3, heads, head_dim)
+    mixed = np.empty((n, heads, head_dim))
+    attended = []
+    for rows in segments.slices:
+        q, k, v = qkv[rows].transpose(1, 2, 0, 3)
+        weights = softmax_array(np.matmul(q, k.swapaxes(1, 2)) * scale,
+                                axis=2)
+        mixed[rows] = np.matmul(weights, v).transpose(1, 0, 2)
+        attended.append((q, k, v, weights))
+    mixed = mixed.reshape(n, h)
+
+    def backward(g):
+        accumulate_params((wo, bo), affine_grads, (mixed, g), segments)
+        g_mixed = (g @ wo.data.T).reshape(n, heads, head_dim)
+        g_mixed = g_mixed.transpose(1, 0, 2)
+        g_qkv = np.empty((3, heads, n, head_dim))
+        for rows, (q, k, v, weights) in zip(segments.slices, attended):
+            g_heads = g_mixed[:, rows]
+            g_scores = softmax_vjp(
+                weights, np.matmul(g_heads, v.swapaxes(1, 2)), axis=2) * scale
+            g_q, g_k, g_v = g_qkv[:, :, rows]
+            np.matmul(g_scores, k, out=g_q)
+            np.matmul(g_scores.swapaxes(1, 2), q, out=g_k)
+            np.matmul(weights.swapaxes(1, 2), g_heads, out=g_v)
+        g_qkv = g_qkv.transpose(2, 0, 1, 3).reshape(n, 3 * h)
+
+        def qkv_grads(xs, gs):
+            g_w = xs.swapaxes(-1, -2) @ gs
+            return g_w[..., :h], g_w[..., h:2 * h], g_w[..., 2 * h:]
+
+        accumulate_params((wq, wk, wv), qkv_grads, (x.data, g_qkv), segments)
+        accumulate(x, g_qkv @ w_qkv.T)
+
+    return Tensor._op(mixed @ wo.data + bo.data, (x, wq, wk, wv, wo, bo),
+                      backward)
+
+
+ATTENTION_PARAMS = ("wq", "wk", "wv", "wo", "bo")
+
+
+def run_attention(attention, lengths, rows):
+    """Output and gradients of one attention node on a fresh pack; with
+    ``rows`` the parameters' gradients are per-conversation rows."""
+    # head_dim 6: a score scale that is not a power of two rounds
+    params = make_params(seed=21, hidden=24, heads=4)
+    block = params.blocks[0]
+    block["bo"].data[:] = np.random.default_rng(22).standard_normal(24)
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((sum(lengths), 24)), requires_grad=True)
+    r = Tensor(rng.standard_normal((sum(lengths), 24)))
+    grads = ({block[k]: np.full((len(lengths),) + block[k].shape, np.nan)
+              for k in ATTENTION_PARAMS} if rows else None)
+    out = attention(x, block, 4, Segments(lengths, grads))
+    (out * r).sum().backward()
+    found = [x.grad] + [grads[block[k]] if rows else block[k].grad
+                        for k in ATTENTION_PARAMS]
+    return out.data, found
+
+
+@pytest.mark.parametrize("lengths", [(3, 1, 7, 2, 5), (9,)],
+                         ids=["several", "lone"])
+@pytest.mark.parametrize("rows", [False, True], ids=["summed", "rows"])
+def test_self_attention_matches_its_reference_bit_for_bit(lengths, rows):
+    out, found = run_attention(encoder._self_attention, lengths, rows)
+    ref_out, expected = run_attention(reference_self_attention, lengths, rows)
+    assert np.array_equal(out, ref_out)
+    for name, actual, wanted in zip(("x",) + ATTENTION_PARAMS, found,
+                                    expected):
+        assert np.array_equal(actual, wanted), name
+    assert not np.isnan(found[1]).any()  # every row was written

@@ -174,6 +174,27 @@ def test_gradient_check_rejects_non_finite_gradient():
     assert np.array_equal(model.theta, start)
 
 
+def test_noise_std_equals_ndarray_std_of_the_rows_bit_for_bit(monkeypatch):
+    # a batch over several packs with "v" inactive: the scale is the std of
+    # each active span's rows, taken on a copy, and model.grad is kept
+    monkeypatch.setattr(training, "PACK_ROWS", 8)
+    model = tiny_model(seed=3)
+    batch = tiny_data(seed=4, conversations=7)
+    active = ("t", "a")
+    conv_grads = np.empty((len(batch), model.encoder_size))
+    training.backward_batch(model, batch, conv_grads, active, 1)
+    assert len(list(training.packs(batch))) >= 2
+    rows, grad = conv_grads.copy(), model.grad.copy()
+    assert not rows[:, model.encoder_spans["v"]].any()
+    scale = checked_noise_std(model, batch, conv_grads, 1, active)
+    assert list(scale) == list(active)
+    for m in active:
+        expected = (rows[:, model.encoder_spans[m]].std(axis=0, ddof=1)
+                    / np.sqrt(len(batch)))
+        assert np.array_equal(scale[m], expected)
+    assert np.array_equal(model.grad, grad)
+
+
 def test_one_noise_draw_equals_block_by_block_draws():
     model = tiny_model()
     span = model.encoder_spans["t"]
