@@ -1,7 +1,8 @@
 """Command-line entry points: gen-data, train, eval, ablate.
 
 A run is described by a flat JSON config with sections {data, model,
-optim, output} plus a top-level modality subset; the ablation flags are
+optim, output} plus a top-level modality subset, which is kept in
+``MODALITIES`` order (``dataset.parse_modalities``); the ablation flags are
 ``model.disable_afw``, ``model.disable_amw`` and ``optim.disable_modulation``.
 All randomness flows from the config seeds; identical configs produce
 byte-identical traces and checkpoints. Outputs are replaced atomically.
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import dataset
-from .dataset import MODALITIES
-from .errors import ConfigError, ModBalanceError, check_keys, check_value
-from .files import replacing
+from .dataset import MODALITIES, parse_modalities
+from .errors import ConfigError, ModBalanceError, check_fields, check_keys
+from .files import read_json, replacing
 from .model import Model, ModelConfig
 from .training import OptimizerConfig, TRACE_HEADER, evaluate, train
 
@@ -26,23 +27,15 @@ HOLDOUT_FRACTION = 0.2
 ABLATION_VARIANTS = ("full", "no_afw", "no_amw", "no_modulation")
 
 
-def parse_modalities(value):
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-    else:
-        parts = list(value)
-    if not parts:
-        raise ConfigError("modality subset must be nonempty")
-    for m in parts:
-        if m not in MODALITIES:
-            raise ConfigError(f"unknown modality {m!r} (expected t, a, v)")
-    if len(set(parts)) != len(parts):
-        raise ConfigError("modality subset has duplicates")
-    return tuple(m for m in MODALITIES if m in parts)
-
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run: its data (a dataset file, or else a synthetic spec), model,
+    optimizer, modality subset and output directory. An instance is valid by
+    construction: ``modalities`` is stored as ``parse_modalities`` returns
+    it, and a value of the wrong type raises ConfigError naming the option,
+    so ``from_dict``, direct construction and ``dataclasses.replace`` all
+    check."""
+
     data_path: str = ""
     synth: dataset.SynthSpec = field(default_factory=dataset.SynthSpec)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -50,51 +43,34 @@ class RunConfig:
     modalities: tuple = MODALITIES
     output_dir: str = "out"
 
+    def __post_init__(self):
+        object.__setattr__(self, "modalities",
+                           parse_modalities(self.modalities))
+        check_fields(self, "run options")
+
     @classmethod
     def from_dict(cls, payload):
         check_keys(payload, ("data", "model", "optim", "output",
                              "modalities"), "config sections")
-        config = cls()
-        data_section = payload.get("data", {})
-        check_keys(data_section, ("path", "synth"), "data options")
-        config.data_path = data_section.get("path", "")
-        check_value(config.data_path, str, "data options: path")
-        if "synth" in data_section:
-            config.synth = dataset.SynthSpec.from_dict(data_section["synth"])
-        config.model = ModelConfig.from_dict(payload.get("model", {}))
-        config.optim = OptimizerConfig.from_dict(payload.get("optim", {}))
-        if "modalities" in payload:
-            subset = payload["modalities"]
-            if not isinstance(subset, str):
-                check_value(subset, list, "modalities")
-                for m in subset:
-                    check_value(m, str, "modalities")
-            config.modalities = parse_modalities(subset)
+        data = payload.get("data", {})
+        check_keys(data, ("path", "synth"), "data options")
         output = payload.get("output", {})
         check_keys(output, ("dir",), "output options")
-        config.output_dir = output.get("dir", "out")
-        check_value(config.output_dir, str, "output options: dir")
-        return config
+        return cls(data_path=data.get("path", ""),
+                   synth=dataset.SynthSpec.from_dict(data.get("synth", {})),
+                   model=ModelConfig.from_dict(payload.get("model", {})),
+                   optim=OptimizerConfig.from_dict(payload.get("optim", {})),
+                   modalities=payload.get("modalities", MODALITIES),
+                   output_dir=output.get("dir", "out"))
 
     @classmethod
     def from_file(cls, path):
-        return cls.from_dict(read_json(path))
+        return cls.from_dict(read_json(path, ConfigError))
 
     def load_dataset(self):
         if self.data_path:
             return dataset.load(self.data_path)
         return dataset.generate(self.synth)
-
-
-def read_json(path):
-    """Parse a JSON config file; raises ConfigError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: malformed JSON ({exc})") from exc
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def write_csv(path, header, rows):
@@ -116,7 +92,7 @@ def write_report(path, report):
 
 def cmd_gen_data(spec_path, out_path):
     """Generate a synthetic dataset file and print a short summary."""
-    spec = dataset.SynthSpec.from_dict(read_json(spec_path))
+    spec = dataset.SynthSpec.from_dict(read_json(spec_path, ConfigError))
     data = dataset.generate(spec)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     dataset.save(data, out_path)
@@ -162,7 +138,8 @@ def cmd_train(config):
 
 
 def cmd_eval(checkpoint_path, data_path, modalities=MODALITIES, out_dir=None):
-    """Evaluate a checkpoint on a dataset with a modality subset."""
+    """Evaluate a checkpoint on a dataset with a modality subset, taken in
+    ``MODALITIES`` order."""
     modalities = parse_modalities(modalities)
     model = Model.load(checkpoint_path)
     data = dataset.load(data_path)
@@ -214,13 +191,16 @@ def cmd_ablate(config):
 
 
 def _apply_overrides(config, args):
-    if getattr(args, "out", None):
-        config.output_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        config.optim = replace(config.optim, seed=args.seed)
-    if getattr(args, "modalities", None):
-        config.modalities = parse_modalities(args.modalities)
-    return config
+    """The config with the command line's overrides, checked as any
+    RunConfig is."""
+    overrides = {}
+    if args.out:
+        overrides["output_dir"] = args.out
+    if args.seed is not None:
+        overrides["optim"] = replace(config.optim, seed=args.seed)
+    if getattr(args, "modalities", None):  # ablate has no --modalities
+        overrides["modalities"] = args.modalities
+    return replace(config, **overrides)
 
 
 def build_parser():

@@ -15,10 +15,28 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DatasetError, check_fields, check_keys, check_value
-from .files import replacing
+from .errors import (ConfigError, DatasetError, check_fields, check_keys,
+                     check_value)
+from .files import read_json, replacing
 
 MODALITIES = ("t", "a", "v")
+
+
+def parse_modalities(value):
+    """The modality subset ``value`` names, in ``MODALITIES`` order: the one
+    place a subset is checked. ``value`` is a comma-separated string or a
+    list or tuple of strings; any other type, an empty subset, an unknown
+    modality or a repeat raises ConfigError naming "modalities"."""
+    parts = value
+    if isinstance(value, str):
+        parts = [p.strip() for p in value.split(",") if p.strip()]
+    subset = (tuple(m for m in MODALITIES if m in parts)
+              if isinstance(parts, (list, tuple)) else ())
+    # each of its modalities is in parts, so equal lengths leave no other
+    if not subset or len(subset) != len(parts):
+        raise ConfigError(f"modalities must be a nonempty subset of t, a, v "
+                          f"without repeats, got {value!r}")
+    return subset
 
 
 @dataclass
@@ -259,14 +277,7 @@ def from_payload(payload):
 
 def load(path):
     """Parse and validate a dataset file; failures name the conversation."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: malformed JSON ({exc})") from exc
-    except OSError as exc:
-        raise DatasetError(f"{path}: {exc}") from exc
-    return from_payload(payload)
+    return from_payload(read_json(path, DatasetError))
 
 
 def batches(conversations, batch_size, seed):

@@ -22,7 +22,8 @@ class DatasetError(ModBalanceError):
 
 
 class DivergenceError(ModBalanceError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss or gradient, or evaluation a
+    non-finite logit."""
 
 
 class CheckpointError(ModBalanceError):

@@ -1,8 +1,22 @@
-"""Atomic replacement of the files the package writes."""
+"""Reading the JSON files the package takes, and atomic replacement of the
+files it writes."""
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+
+def read_json(path, error):
+    """Parse the JSON file at ``path``; a file that cannot be read or
+    parsed raises ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: malformed JSON ({exc})") from exc
+    except OSError as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 @contextmanager

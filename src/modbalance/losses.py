@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeError
+from .errors import ShapeError
 from .tensor import Segments, Tensor, accumulate
 
 TERMS = ("cls", "feature", "modal")  # the order of main_loss's arguments
@@ -105,14 +105,7 @@ def feature_loss(attention, mapped, segments=None):
 
 
 def main_loss(cls_term, feature_term, modal_term):
-    """Unweighted sum; raises naming the term if any part is non-finite.
-
-    The terms are scalars, or one value per conversation of a pack.
-    """
-    for name, term in zip(TERMS, (cls_term, feature_term, modal_term)):
-        values = term.data if isinstance(term, Tensor) else np.asarray(term)
-        bad = values[~np.isfinite(values)]
-        if bad.size:
-            raise DivergenceError(f"{name} loss is not finite: "
-                                  f"{float(bad[0])}")
+    """Unweighted sum of the three terms: scalars, or one value per
+    conversation of a pack. In training, ``training._pack_losses`` has
+    already refused a non-finite term, naming its conversation."""
     return cls_term + feature_term + modal_term

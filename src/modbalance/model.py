@@ -20,7 +20,7 @@ import numpy as np
 
 from . import feature_weighting as afw
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataset import MODALITIES
+from .dataset import MODALITIES, parse_modalities
 from .encoder import EncoderParams, encode
 from .errors import (CheckpointError, ConfigError, ShapeError, check_fields,
                      check_keys, check_value)
@@ -169,28 +169,29 @@ class Model:
         the full pipeline.
 
         ``features`` maps modality -> (N, d_m) arrays; ``active`` selects
-        the modality subset. Without ``segments`` the N rows are one
-        conversation. AFW pools each conversation on its own.
+        the modality subset, which ``parse_modalities`` puts in
+        ``MODALITIES`` order, so its spelling does not change the result.
+        Without ``segments`` the N rows are one conversation. AFW pools
+        each conversation on its own.
 
         This is the one place a forward's inputs are checked; the ops below
-        it trust the shapes it passes on. ``active`` must be a nonempty
-        subset of ``MODALITIES`` (else ConfigError), and each active
+        it trust the shapes it passes on. ``active`` must be a subset that
+        ``parse_modalities`` takes (else ConfigError), and each active
         modality must be in ``features`` as a 2-D array of integer or real
         floating dtype and width ``dims[m]``, with as many rows as the
         first active one and at least one (else ShapeError naming the
         modality). Inactive modalities are not read.
         """
-        active = tuple(active)
-        if not active:
-            raise ConfigError("modality subset must be nonempty")
-        for m in active:
-            if m not in MODALITIES:
-                raise ConfigError(f"unknown modality {m!r}")
+        active = parse_modalities(active)
         n = None
         for m in active:
             if m not in features:
                 raise ShapeError(f"no features for active modality {m!r}")
-            array = np.asarray(features[m])
+            try:
+                array = np.asarray(features[m])
+            except ValueError as exc:  # a ragged nested list
+                raise ShapeError(f"modality {m!r} features are not a "
+                                 f"matrix ({exc})") from exc
             if array.dtype.kind not in "iuf":
                 raise ShapeError(f"modality {m!r} features must be real "
                                  f"numbers, got dtype {array.dtype}")

@@ -183,14 +183,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         """The value of a size-1 tensor, whatever its shape."""
         return self.data.item()
@@ -281,14 +273,12 @@ class Tensor:
 
     # --- reductions ---
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self):
+        """The sum of every entry, a 0-d tensor."""
         def backward(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
             accumulate(self, np.broadcast_to(g, self.data.shape))
 
-        return Tensor._op(self.data.sum(axis=axis, keepdims=keepdims),
-                          (self,), backward)
+        return Tensor._op(self.data.sum(), (self,), backward)
 
 
 def softmax_array(x, axis=-1):

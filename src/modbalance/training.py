@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MODALITIES, batches as make_batches
+from .dataset import MODALITIES, batches as make_batches, parse_modalities
 from .errors import ConfigError, DivergenceError, check_fields, check_keys
 from .losses import (
     TERMS,
@@ -336,11 +336,18 @@ def _noise_std(rows, sums, spans):
 
 
 def evaluate(model, conversations, active=MODALITIES):
-    """Pooled EvalReport over all utterances of the given conversations."""
+    """Pooled EvalReport over all utterances of the given conversations.
+
+    A conversation whose logits are not finite (as NaN features give)
+    raises a DivergenceError naming it.
+    """
     preds, labels = [], []
     with no_grad():
         for conv in conversations:
             out = model.forward(conv.features, active=active)
+            if not np.isfinite(out.outputs.data).all():
+                raise DivergenceError(
+                    f"conversation {conv.id}: logits are not finite")
             preds.append(out.predictions())
             labels.append(conv.labels)
     return EvalReport.from_predictions(
@@ -358,9 +365,11 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
     and update encoder blocks with modulated (optionally noisy) SGD and
     everything else with plain SGD. Appends one StepTrace per step to
     ``trace_sink`` (or an internal list) and evaluates ``eval_data`` once
-    per epoch.
+    per epoch. ``active`` goes through ``parse_modalities``, so a subset
+    trains in ``MODALITIES`` order (and draws its noise in that order)
+    however it is spelled.
     """
-    active = tuple(active)
+    active = parse_modalities(active)
     noise_rng = np.random.default_rng(config.seed + 7919)
     use_noise = config.noise and not config.disable_modulation
     # only the noise std reads per-conversation rows, one per conversation

@@ -17,20 +17,21 @@ from modbalance import cli, losses
 from modbalance.feature_weighting import AfwState
 from modbalance.model import ForwardPass, Model, ModelConfig
 from modbalance.tensor import Tensor, no_grad
+from modbalance.training import OptimizerConfig
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
 
-def load_tracer():
+def load_benchmark_module(name):
     spec = importlib.util.spec_from_file_location(
-        "benchmark_tracer", BENCHMARK / "tracer.py")
+        f"benchmark_{name}", BENCHMARK / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 @pytest.mark.parametrize("module_name, attr, layer",
-                         load_tracer().LAYER_FUNCTIONS)
+                         load_benchmark_module("tracer").LAYER_FUNCTIONS)
 def test_every_traced_function_resolves(module_name, attr, layer):
     module = importlib.import_module(f"modbalance.{module_name}")
     assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
@@ -73,6 +74,22 @@ def test_forward_pass_and_graph_fields_exist():
     assert {"attention", "mapped"} <= {
         f.name for f in dataclasses.fields(AfwState)}
     assert "_parents" in Tensor.__slots__
+
+
+def test_benchmark_run_config_loads_with_its_values(tmp_path):
+    inputs = load_benchmark_module("inputs")
+    workload = inputs.WORKLOADS["train_short"]
+    path = tmp_path / "run.json"
+    inputs.write_run_config(path, workload, tmp_path / "data.json",
+                            tmp_path / "out")
+    config = cli.RunConfig.from_file(path)
+    assert config.optim == OptimizerConfig(
+        learning_rate=inputs.LEARNING_RATE, alpha=inputs.ALPHA,
+        batch_size=inputs.BATCH_SIZE, epochs=workload.epochs, seed=0)
+    assert config.modalities == ("t", "a", "v")
+    assert config.model == ModelConfig()
+    assert config.data_path == str(tmp_path / "data.json")
+    assert config.output_dir == str(tmp_path / "out")
 
 
 def test_cmd_train_returns_report_model_and_result(tmp_path):

@@ -1,10 +1,12 @@
 """Every subcommand end to end through ``cli.main``, and its bad inputs."""
 
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from modbalance import cli
+from modbalance.errors import ConfigError
 from modbalance.model import Model, ModelConfig
 
 from test_checkpoint import MALFORMED, _save_with_model_meta
@@ -205,6 +207,29 @@ def test_ablation_flags_are_options_of_their_sections():
         "optim": {"disable_modulation": True}})
     assert config.model.disable_afw and config.model.disable_amw
     assert config.optim.disable_modulation
+
+
+def test_run_config_keeps_its_subset_in_modality_order():
+    assert cli.RunConfig(modalities=["v", "t"]).modalities == ("t", "v")
+    assert cli.RunConfig.from_dict({"modalities": "a, t"}).modalities == (
+        "t", "a")
+    with pytest.raises(FrozenInstanceError):
+        cli.RunConfig().modalities = ("t",)
+
+
+@pytest.mark.parametrize("options, culprit", [
+    ({"modalities": ("t", "t")}, "modalities"),
+    ({"modalities": []}, "modalities"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"data_path": None}, "data_path"),
+    ({"model": {"hidden": 8}}, "model"),
+], ids=["repeated_modality", "no_modality", "output_dir_int",
+        "data_path_none", "model_a_dict"])
+def test_run_config_is_valid_by_construction(options, culprit):
+    with pytest.raises(ConfigError, match=culprit):
+        cli.RunConfig(**options)
+    with pytest.raises(ConfigError, match=culprit):
+        replace(cli.RunConfig(), **options)
 
 
 class TraceRow:

@@ -84,8 +84,9 @@ def test_output_shape_and_dim_check():
     ({"a": np.ones((6, 4), dtype=bool)}, "a"),
     ({"a": np.ones((6, 4), dtype=object)}, "a"),
     ({"a": np.ones((6, 4), dtype=complex)}, "a"),
+    ({"a": [[1.0] * 4] * 5 + [[1.0]]}, "a"),
 ], ids=["missing", "not_2d", "width", "rows_differ", "no_rows", "strings",
-        "booleans", "objects", "complex"])
+        "booleans", "objects", "complex", "ragged"])
 @pytest.mark.parametrize("disable_afw", [False, True], ids=["afw", "no_afw"])
 def test_forward_names_the_modality_of_a_bad_input(edit, culprit,
                                                    disable_afw):
@@ -115,6 +116,30 @@ def test_forward_takes_integer_features_as_numbers():
     floats = model.forward({m: x.astype(np.float64)
                             for m, x in features.items()}, ("t", "a"))
     assert np.array_equal(out.outputs.data, floats.outputs.data)
+
+
+def test_forward_takes_a_subset_in_modality_order_however_spelled():
+    model = Model(tiny_config(), num_classes=3,
+                  dims={"t": 5, "a": 4, "v": 3}, seed=0)
+    rng = np.random.default_rng(3)
+    features = {m: rng.standard_normal((6, d)) for m, d in model.dims.items()}
+    ta = model.forward(features, ("t", "a"))
+    for spelling in (("a", "t"), ["a", "t"], "a, t"):
+        out = model.forward(features, spelling)
+        assert np.array_equal(out.outputs.data, ta.outputs.data), spelling
+        assert list(out.contributions) == ["t", "a"]
+
+
+@pytest.mark.parametrize("active", [("t", "t"), [], ["t", 1], "", "t,x", 5,
+                                    {"t": 1}],
+                         ids=["repeat", "empty", "not_a_string",
+                              "empty_string", "unknown", "int", "dict"])
+def test_forward_refuses_a_bad_subset(active):
+    model = Model(tiny_config(), num_classes=3,
+                  dims={"t": 5, "a": 4, "v": 3}, seed=0)
+    features = {m: np.ones((2, d)) for m, d in model.dims.items()}
+    with pytest.raises(ConfigError, match="modalities"):
+        model.forward(features, active)
 
 
 def collect_attention(monkeypatch):

@@ -226,9 +226,6 @@ def test_grad_relu():
 def test_grad_sum_axis_and_mean():
     rng = np.random.default_rng(20)
     a = _leaf(rng, (3, 4, 2))
-    r = Tensor(rng.standard_normal((3, 2)))
-    assert_grad_matches(lambda: (a.sum(axis=1) * r).sum(), [a])
-    assert_grad_matches(lambda: (a.sum(axis=(0, 2)) * 2.0).sum(), [a])
     # the package's one mean, over the leading axis, is the pool_attention node
     q = Tensor(rng.standard_normal((4, 2)))
     segments = Segments([3])

@@ -500,6 +500,39 @@ def test_evaluate_reports_pooled_metrics():
     assert np.array(report.confusion).sum() == total
 
 
+def test_evaluate_names_a_conversation_with_non_finite_logits():
+    model = tiny_model(seed=14)
+    data = tiny_data(conversations=3)
+    data[1].features["v"][0, 2] = float("nan")
+    with pytest.raises(DivergenceError,
+                       match=f"conversation {data[1].id}: logits are not "
+                             "finite"):
+        evaluate(model, data)
+    evaluate(model, data, active=("t", "a"))  # an inactive NaN is not read
+
+
+def test_training_takes_a_subset_in_modality_order_however_spelled():
+    data = tiny_data(conversations=4)
+    config = OptimizerConfig(epochs=2, batch_size=2, seed=3)
+    reference = tiny_model(seed=6)
+    train(reference, data, config, active=("t", "a"))
+    for spelling in (("a", "t"), "a,t"):
+        model = tiny_model(seed=6)
+        train(model, data, config, active=spelling)
+        assert np.array_equal(model.theta, reference.theta), spelling
+
+
+@pytest.mark.parametrize("active", [("t", "t"), [], ["t", 1]],
+                         ids=["repeat", "empty", "not_a_string"])
+def test_training_refuses_a_bad_subset(active):
+    model = tiny_model(seed=6)
+    before = model.theta.copy()
+    with pytest.raises(ConfigError, match="modalities"):
+        train(model, tiny_data(conversations=2),
+              OptimizerConfig(epochs=1, batch_size=2), active=active)
+    assert np.array_equal(model.theta, before)
+
+
 def test_backward_leaves_no_reference_cycles():
     model = tiny_model(seed=15)
     conv = tiny_data(conversations=1)[0]
