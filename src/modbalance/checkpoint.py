@@ -1,13 +1,15 @@
 """Binary checkpoints: a JSON header followed by raw little-endian float64.
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON
-header, then the concatenated tensor payloads. The header records tensor
-names, shapes, and byte offsets into the payload plus arbitrary metadata,
-so files are self-describing and round-trip bit-exactly.
+header, then the payload: a model's flat parameter vector ``theta`` as one
+block of float64. The header holds metadata and the tensor list, which is
+``Model.layout``: the name, shape and byte offset of each parameter block
+in ``theta``. This module checks the file itself; ``Model.load`` checks
+the tensor list against the layout of the model the metadata describes.
+Files round-trip bit-exactly.
 """
 
 import json
-import math
 import struct
 
 import numpy as np
@@ -18,30 +20,21 @@ from .files import replacing
 MAGIC = b"MBCK0001"
 
 
-def save_checkpoint(path, tensors, meta=None):
-    """Write named arrays (dict name -> ndarray) plus a metadata dict."""
-    entries = []
-    chunks = []
-    offset = 0
-    for name, array in tensors.items():
-        data = np.asarray(array, dtype="<f8")
-        entries.append({"name": name, "shape": list(data.shape),
-                        "offset": offset})
-        chunk = data.tobytes(order="C")
-        chunks.append(chunk)
-        offset += len(chunk)
-    header = json.dumps({"meta": meta or {}, "tensors": entries},
+def save_checkpoint(path, values, tensors, meta):
+    """Write the float64 vector ``values`` under a header of ``meta`` and
+    the tensor list ``tensors`` that describes it."""
+    header = json.dumps({"meta": meta, "tensors": tensors},
                         sort_keys=True).encode("utf-8")
     with replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for chunk in chunks:
-            fh.write(chunk)
+        fh.write(np.asarray(values, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Read back ``(meta, tensors)``; raises CheckpointError on bad files."""
+    """Read back ``(meta, tensors, values)``, ``values`` being the payload
+    as one read-only float64 vector; raises CheckpointError on bad files."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -52,38 +45,19 @@ def load_checkpoint(path):
     if len(blob) < 16:
         raise CheckpointError(f"{path}: file ends inside the header length")
     (header_len,) = struct.unpack("<Q", blob[8:16])
-    if 16 + header_len > len(blob):
+    start = 16 + header_len
+    if start > len(blob):
         raise CheckpointError(
             f"{path}: header length {header_len} runs past end of file")
     try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+        header = json.loads(blob[16:start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
     if not isinstance(header, dict) or not isinstance(header.get("tensors"),
                                                       list):
         raise CheckpointError(f"{path}: header has no tensor list")
-    payload = blob[16 + header_len:]
-    tensors = {}
-    for entry in header["tensors"]:
-        try:
-            name, shape, start = entry["name"], entry["shape"], entry["offset"]
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(
-                f"{path}: malformed tensor entry {entry!r} ({exc!r})") from exc
-        if not (isinstance(name, str) and isinstance(shape, list)
-                and all(_is_count(s) for s in shape) and _is_count(start)):
-            raise CheckpointError(
-                f"{path}: tensor entry {entry!r} needs a string name, a list "
-                "of non-negative integer dims and a non-negative integer "
-                "offset")
-        end = start + math.prod(shape) * 8
-        if end > len(payload):
-            raise CheckpointError(
-                f"{path}: tensor {name!r} runs past end of file")
-        tensors[name] = np.frombuffer(
-            payload[start:end], dtype="<f8").reshape(shape).copy()
-    return header.get("meta", {}), tensors
-
-
-def _is_count(value):
-    return type(value) is int and value >= 0
+    if (len(blob) - start) % 8:
+        raise CheckpointError(f"{path}: payload of {len(blob) - start} bytes "
+                              "is not a whole number of float64 values")
+    values = np.frombuffer(blob, dtype="<f8", offset=start)
+    return header.get("meta", {}), header["tensors"], values

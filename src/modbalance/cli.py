@@ -54,6 +54,8 @@ class RunConfig:
                              "modalities"), "config sections")
         data = payload.get("data", {})
         check_keys(data, ("path", "synth"), "data options")
+        if "path" in data and "synth" in data:
+            raise ConfigError("data options: set path or synth, not both")
         output = payload.get("output", {})
         check_keys(output, ("dir",), "output options")
         return cls(data_path=data.get("path", ""),

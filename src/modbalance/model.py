@@ -2,7 +2,11 @@
 
 One ``Model`` owns every parameter block, held in registry order in one
 flat float64 vector ``theta``; their gradients fill a second vector
-``grad``. Each block's ``data`` and ``grad`` are views of its slice. Each
+``grad``. Each block's ``data`` and ``grad`` are views of its slice, and
+``layout`` lists each block's name, shape and byte offset in ``theta``.
+A checkpoint is ``theta`` under a header whose tensor list is ``layout``;
+``load`` refuses a file whose list differs from the layout its metadata
+gives, naming the first entry that differs. Each
 modality's encoder blocks form one slice (``encoder_spans``) because the
 balance optimizer treats them differently from everything else (they alone
 receive modulated, optionally noisy updates). The forward pass works for
@@ -15,6 +19,7 @@ write each conversation's encoder gradient into a row of one matrix.
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -95,6 +100,9 @@ class Model:
     def __init__(self, config, num_classes, dims, seed):
         if num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
+        for m in MODALITIES:
+            if dims[m] < 1:
+                raise ConfigError(f"dims.{m} must be >= 1, got {dims[m]}")
         self.config = config
         self.num_classes = num_classes
         self.dims = {m: int(dims[m]) for m in MODALITIES}
@@ -113,9 +121,10 @@ class Model:
     # --- parameter registry ---
 
     def _build_registry(self):
-        """Name -> block, encoders first; copies the blocks into ``theta``
-        and makes each ``data`` and ``grad`` a view of its slice of
-        ``theta`` and ``grad`` (rebinding one later would detach it)."""
+        """Name -> block, encoders first; copies the blocks into ``theta``,
+        makes each ``data`` and ``grad`` a view of its slice of ``theta``
+        and ``grad`` (rebinding one later would detach it) and records the
+        checkpoint ``layout``."""
         params = {}
         for m in MODALITIES:
             params.update(self.encoders[m].named_parameters(f"encoder.{m}"))
@@ -127,6 +136,10 @@ class Model:
         self.offsets = np.cumsum([0] + [p.data.size for p in blocks])
         self.theta = np.concatenate([p.data.ravel() for p in blocks])
         self.grad = np.zeros_like(self.theta)
+        self.layout = [{"name": name, "shape": list(p.data.shape),
+                        "offset": 8 * int(start)}
+                       for (name, p), start in zip(params.items(),
+                                                   self.offsets)]
         for p, start, stop in zip(blocks, self.offsets, self.offsets[1:]):
             p.data = self.theta[start:stop].reshape(p.data.shape)
             p.grad = self.grad[start:stop].reshape(p.data.shape)
@@ -224,17 +237,15 @@ class Model:
     # --- persistence ---
 
     def save(self, path):
-        meta = {
+        save_checkpoint(path, self.theta, self.layout, {
             "model": {**self.config.to_dict(), **RETIRED_OPTIONS},
             "num_classes": self.num_classes,
             "dims": self.dims,
-        }
-        arrays = {name: p.data for name, p in self.named_parameters().items()}
-        save_checkpoint(path, arrays, meta)
+        })
 
     @classmethod
     def load(cls, path):
-        meta, arrays = load_checkpoint(path)
+        meta, tensors, values = load_checkpoint(path)
         try:
             options = dict(meta["model"])
             for name, inert in RETIRED_OPTIONS.items():
@@ -250,19 +261,17 @@ class Model:
             model = cls(config, num_classes, dims, seed=0)
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise CheckpointError(f"{path}: bad metadata ({exc})") from exc
-        params = model.named_parameters()
-        missing = set(params) - set(arrays)
-        extra = set(arrays) - set(params)
-        if missing or extra:
+        if tensors != model.layout:
+            index, got, want = next(
+                (i, got, want) for i, (got, want) in
+                enumerate(zip_longest(tensors, model.layout)) if got != want)
+            raise CheckpointError(f"{path}: tensor entry {index} is {got!r}, "
+                                  f"the model expects {want!r}")
+        if values.size != model.theta.size:
             raise CheckpointError(
-                f"{path}: parameter names do not match the model "
-                f"(missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})")
-        for name, p in params.items():
-            if arrays[name].shape != p.data.shape:
-                raise CheckpointError(
-                    f"{path}: {name} has shape {arrays[name].shape}, "
-                    f"expected {p.data.shape}")
-            p.data[...] = arrays[name]
+                f"{path}: payload holds {values.size} values, the model has "
+                f"{model.theta.size}")
+        model.theta[...] = values
         finite = np.isfinite(model.theta)
         if not finite.all():  # argmin finds the first False
             raise CheckpointError(

@@ -13,28 +13,23 @@ from modbalance.model import Model, ModelConfig
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    tensors = {
-        "a.w": rng.standard_normal((3, 4)),
-        "b": rng.standard_normal(7),
-        "scalar": np.array(3.25),
-    }
+    values = np.random.default_rng(0).standard_normal(20)
+    tensors = [{"name": "a.w", "shape": [3, 4], "offset": 0},
+               {"name": "b", "shape": [8], "offset": 96}]
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, tensors, meta={"note": 1})
-    meta, back = load_checkpoint(path)
+    save_checkpoint(path, values, tensors, meta={"note": 1})
+    meta, back_tensors, back = load_checkpoint(path)
     assert meta == {"note": 1}
-    assert set(back) == set(tensors)
-    for name in tensors:
-        assert back[name].shape == np.asarray(tensors[name]).shape
-        assert np.array_equal(back[name], tensors[name])
+    assert back_tensors == tensors
+    assert back.dtype == np.float64 and np.array_equal(back, values)
 
 
 def test_checkpoint_files_are_deterministic(tmp_path):
-    rng = np.random.default_rng(1)
-    tensors = {"w": rng.standard_normal((5, 5))}
+    values = np.random.default_rng(1).standard_normal(25)
+    tensors = [{"name": "w", "shape": [5, 5], "offset": 0}]
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_checkpoint(p1, tensors, meta={"k": "v"})
-    save_checkpoint(p2, tensors, meta={"k": "v"})
+    save_checkpoint(p1, values, tensors, meta={"k": "v"})
+    save_checkpoint(p2, values, tensors, meta={"k": "v"})
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -50,36 +45,110 @@ def _raw_checkpoint(header, payload=b"\0" * 8):
     return MAGIC + struct.pack("<Q", len(blob)) + blob + payload
 
 
+SMALL = ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12)
+DIMS = {"t": 6, "a": 5, "v": 4}
+
+
+def _model_meta(model, **options):
+    return {"model": {**model.config.to_dict(), **options},
+            "num_classes": model.num_classes, "dims": model.dims}
+
+
+def _save_with_model_meta(path, model, **options):
+    save_checkpoint(path, model.theta, model.layout,
+                    _model_meta(model, **options))
+
+
+REFERENCE = Model(SMALL, num_classes=3, dims=DIMS, seed=5)  # read only
+
+
+def _model_file(edit=lambda tensors: None, extra=b""):
+    """``REFERENCE``'s checkpoint bytes, its tensor list changed by
+    ``edit`` and ``extra`` appended to its payload."""
+    tensors = [dict(entry) for entry in REFERENCE.layout]
+    edit(tensors)
+    return _raw_checkpoint(
+        {"meta": _model_meta(REFERENCE), "tensors": tensors},
+        payload=REFERENCE.theta.tobytes() + extra)
+
+
+def _corrupt_last(change):
+    def edit(tensors):
+        tensors[-1] = change(tensors[-1])
+    return edit
+
+
+def _swap_names(i, j):
+    def edit(tensors):
+        tensors[i]["name"], tensors[j]["name"] = (tensors[j]["name"],
+                                                  tensors[i]["name"])
+    return edit
+
+
 ENTRY = {"name": "w", "shape": [1], "offset": 0}
 
-MALFORMED = {
+# case -> file bytes that load_checkpoint refuses, naming the file
+FILE_FAULTS = {
     "shorter_than_16_bytes": MAGIC + b"\1\0",
     "header_runs_past_end": MAGIC + struct.pack("<Q", 1000) + b"{}",
     "header_not_an_object": _raw_checkpoint([ENTRY]),
     "no_tensors": _raw_checkpoint({"meta": {}}),
-    **{f"entry_lacks_{key}": _raw_checkpoint({"tensors": [
-        {k: v for k, v in ENTRY.items() if k != key}]})
-       for key in ENTRY},
-    "negative_offset": _raw_checkpoint({"tensors": [{**ENTRY, "offset": -8}]}),
-    "fractional_offset": _raw_checkpoint(
-        {"tensors": [{**ENTRY, "offset": 0.5}]}, payload=b"\0" * 16),
-    "negative_dim": _raw_checkpoint({"tensors": [{**ENTRY, "shape": [-1]}]}),
-    "tensor_past_end": _raw_checkpoint({"tensors": [{**ENTRY, "offset": 8}]}),
+    "payload_not_whole_values": _raw_checkpoint({"tensors": [ENTRY]},
+                                                payload=b"\0" * 12),
 }
+
+# case -> (a whole file that does not match the model its metadata
+# describes, what Model.load's error names after the file)
+ENTRY_NAMED = (f"tensor entry {len(REFERENCE.layout) - 1} is "
+               r".*'classifier\.b2'")
+MODEL_FAULTS = {
+    **{f"entry_lacks_{key}": (_model_file(_corrupt_last(
+        lambda entry, key=key: {k: v for k, v in entry.items() if k != key})),
+        ENTRY_NAMED) for key in ENTRY},
+    "negative_offset": (_model_file(_corrupt_last(
+        lambda entry: {**entry, "offset": -8})), ENTRY_NAMED),
+    "fractional_offset": (_model_file(_corrupt_last(
+        lambda entry: {**entry, "offset": entry["offset"] + 0.5})),
+        ENTRY_NAMED),
+    "negative_dim": (_model_file(_corrupt_last(
+        lambda entry: {**entry, "shape": [-1]})), ENTRY_NAMED),
+    "tensor_past_end": (_model_file(_corrupt_last(
+        lambda entry: {**entry, "offset": entry["offset"] + 8})),
+        ENTRY_NAMED),
+    "trailing_payload_bytes": (_model_file(extra=b"\0" * 8), re.escape(
+        f"payload holds {REFERENCE.theta.size + 1} values, the model has "
+        f"{REFERENCE.theta.size}")),
+    # same-shape blocks: without the layout check each would load the
+    # other's values
+    "swapped_names": (_model_file(_swap_names(2, 3)), re.escape(
+        "tensor entry 2 is {'name': 'encoder.t.block0.wk'")),
+}
+
+MALFORMED = {**FILE_FAULTS,
+             **{case: blob for case, (blob, _) in MODEL_FAULTS.items()}}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_checkpoint_rejects_malformed_files_naming_them(tmp_path, case):
+    """load_checkpoint refuses a file that is not whole; Model.load refuses
+    a whole file whose header or payload its model would not write."""
     path = tmp_path / f"{case}.bin"
     path.write_bytes(MALFORMED[case])
-    with pytest.raises(CheckpointError, match=case):
+    if case in FILE_FAULTS:
+        with pytest.raises(CheckpointError, match=case):
+            load_checkpoint(path)
+    else:
         load_checkpoint(path)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: ")
+                           + MODEL_FAULTS[case][1]):
+            Model.load(path)
 
 
 def test_checkpoint_minimal_raw_file_loads(tmp_path):
     path = tmp_path / "ok.bin"
     path.write_bytes(_raw_checkpoint({"tensors": [ENTRY]}))
-    assert load_checkpoint(path)[1]["w"].tolist() == [0.0]
+    meta, tensors, values = load_checkpoint(path)
+    assert (meta, tensors, values.tolist()) == ({}, [ENTRY], [0.0])
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -121,21 +190,13 @@ def test_model_load_refuses_non_finite_parameters(tmp_path, block, value):
 def test_model_load_rejects_mismatched_names(tmp_path):
     config = ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12)
     model = Model(config, num_classes=3, dims={"t": 6, "a": 5, "v": 4}, seed=5)
-    arrays = {n: p.data for n, p in model.named_parameters().items()}
-    arrays.pop("head.b")
+    tensors = [entry for entry in model.layout if entry["name"] != "head.b"]
+    index = [entry["name"] for entry in model.layout].index("head.b")
     path = tmp_path / "model.bin"
-    save_checkpoint(path, arrays, meta={
-        "model": config.to_dict(), "num_classes": 3,
-        "dims": {"t": 6, "a": 5, "v": 4}})
-    with pytest.raises(CheckpointError):
+    save_checkpoint(path, model.theta, tensors, _model_meta(model))
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: tensor entry {index} is ") + ".*'head.b'"):
         Model.load(path)
-
-
-def _save_with_model_meta(path, model, **options):
-    arrays = {n: p.data for n, p in model.named_parameters().items()}
-    save_checkpoint(path, arrays, meta={
-        "model": {**model.config.to_dict(), **options},
-        "num_classes": model.num_classes, "dims": model.dims})
 
 
 def test_model_loads_checkpoint_with_retired_options_at_old_defaults(tmp_path):
@@ -168,15 +229,14 @@ def test_model_load_refuses_retired_option_in_use(tmp_path, option, value):
     ({"dims": {"t": 6.2, "a": 5, "v": 4}}, "dims.t must be int"),
     ({"dims": {"t": 6, "a": 5, "v": True}}, "dims.v must be int"),
     ({"dims": {"t": 6, "a": 5, "v": 4, "x": 2}}, "'x'"),
+    ({"dims": {"t": 0, "a": 5, "v": 4}}, "dims.t must be >= 1"),
 ])
 def test_model_load_refuses_metadata_it_would_coerce(tmp_path, header,
                                                       culprit):
     model = Model(ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12),
                   num_classes=3, dims={"t": 6, "a": 5, "v": 4}, seed=5)
-    arrays = {n: p.data for n, p in model.named_parameters().items()}
     path = tmp_path / "model.bin"
-    save_checkpoint(path, arrays, meta={
-        "model": model.config.to_dict(), "num_classes": 3,
-        "dims": {"t": 6, "a": 5, "v": 4}, **header})
+    save_checkpoint(path, model.theta, model.layout,
+                    {**_model_meta(model), **header})
     with pytest.raises(CheckpointError, match=culprit):
         Model.load(path)

@@ -6,10 +6,11 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from modbalance import cli
+from modbalance.checkpoint import save_checkpoint
 from modbalance.errors import ConfigError
 from modbalance.model import Model, ModelConfig
 
-from test_checkpoint import MALFORMED, _save_with_model_meta
+from test_checkpoint import MALFORMED, _model_meta, _save_with_model_meta
 
 SPEC = {"num_classes": 3, "dims": {"t": 6, "a": 5, "v": 4},
         "conversations": 6, "utterances": [2, 4], "seed": 3}
@@ -70,12 +71,13 @@ def bad_dataset(**overrides):
 
 
 def train_argv(tmp_path, sections):
-    """A tiny one-epoch run config, with ``sections`` merged into it."""
+    """A tiny one-epoch run config, with ``sections`` merged into it; a
+    data section replaces the synthetic one."""
     config = {"data": {"synth": SPEC}, "model": MODEL, "optim": {"epochs": 1},
               "output": {"dir": str(tmp_path / "out")}}
     for name, section in sections.items():
-        config[name] = ({**config.get(name, {}), **section}
-                        if isinstance(section, dict) else section)
+        merge = isinstance(section, dict) and name != "data"
+        config[name] = {**config.get(name, {}), **section} if merge else section
     return ["train", "--config", write_json(tmp_path / "run.json", config)]
 
 
@@ -98,6 +100,15 @@ def retired_checkpoint(tmp_path):
     return eval_argv(tmp_path, path)
 
 
+def zero_dim_checkpoint(tmp_path):
+    model = Model(ModelConfig(**MODEL), num_classes=3, dims=SPEC["dims"],
+                  seed=0)
+    path = tmp_path / "zero_dim.bin"
+    save_checkpoint(path, model.theta, model.layout,
+                    {**_model_meta(model), "dims": {**model.dims, "t": 0}})
+    return eval_argv(tmp_path, path)
+
+
 def with_dataset(tmp_path, payload):
     path = write_json(tmp_path / "data.json", payload)
     return train_argv(tmp_path, {"data": {"path": str(path)}})
@@ -109,6 +120,7 @@ BAD_INPUTS = {
         lambda tmp_path, blob=blob: malformed_checkpoint(tmp_path, blob),
         "ckpt.bin") for case, blob in MALFORMED.items()},
     "checkpoint_with_retired_option": (retired_checkpoint, "positional"),
+    "checkpoint_with_zero_dim": (zero_dim_checkpoint, "dims.t"),
     "spec_unknown_key": (lambda tmp_path: [
         "gen-data", "--config",
         write_json(tmp_path / "spec.json", {"convesations": 3}),
@@ -185,6 +197,9 @@ BAD_INPUTS = {
         tmp_path, {"output": {"dir": None}}), "dir"),
     "run_config_data_path_int": (lambda tmp_path: train_argv(
         tmp_path, {"data": {"path": 5}}), "path"),
+    "run_config_data_path_and_synth": (lambda tmp_path: train_argv(
+        tmp_path, {"data": {"path": "d.json", "synth": {"conversations": 3}}}),
+        "path or synth"),
 }
 
 
