@@ -251,6 +251,10 @@ def main(argv=None):
     except (ModBalanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. a config asking for TiB-sized blocks
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -124,7 +124,12 @@ class Segments:
         """(S, longest, ...) stack of each conversation's rows of
         ``values``, zero-filled past its length, so that one reduction
         over axis 1 (a sum, or a batched matmul) gives every
-        conversation's own; the trailing zeros add nothing."""
+        conversation's own; the trailing zeros add nothing.
+
+        A lone conversation has no padding: its stack is the view
+        ``values[None]``, so callers only read the stack."""
+        if len(self) == 1:
+            return values[None]
         stack = np.zeros((len(self), self._longest) + values.shape[1:])
         stack[self._place] = values
         return stack

@@ -171,6 +171,8 @@ BAD_INPUTS = {
            ("optim", "learning_rate", float("nan")),
            ("optim", "alpha", float("inf")),
            ("model", "beta", float("nan"))]},
+    "run_config_ffn_too_large_to_allocate": (lambda tmp_path: train_argv(
+        tmp_path, {"model": {"ffn": 10**12}}), "Unable to allocate"),
     "run_config_zero_heads": (lambda tmp_path: train_argv(
         tmp_path, {"model": {"heads": 0}}), "heads"),
     "run_config_negative_seed": (lambda tmp_path: train_argv(

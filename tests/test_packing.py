@@ -165,6 +165,22 @@ def one_conversation(rows):
     return Segments([rows.stop - rows.start])
 
 
+def test_pad_of_one_conversation_is_a_view_and_of_several_zero_filled():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((5, 2, 3))
+    alone = Segments([5]).pad(x)
+    assert np.shares_memory(alone, x)
+    assert alone.shape == (1, 5, 2, 3) and np.array_equal(alone, x[None])
+    x, segments = pack_rows(rng, (2,))
+    stack = segments.pad(x)
+    assert not np.shares_memory(stack, x)
+    assert stack.shape == (len(LENGTHS), max(LENGTHS), 2)
+    for j, rows in enumerate(segments.slices):
+        n = rows.stop - rows.start
+        assert np.array_equal(stack[j, :n], x[rows])
+        assert not stack[j, n:].any()
+
+
 def attention_block(rng, hidden=8):
     return EncoderParams(4, ModelConfig(hidden=hidden, layers=1, heads=2,
                                         ffn=8), rng).blocks[0]

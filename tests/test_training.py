@@ -2,6 +2,8 @@
 
 import gc
 import math
+import sys
+import threading
 import warnings
 from dataclasses import FrozenInstanceError, replace
 
@@ -155,10 +157,22 @@ def test_update_noise_is_seed_reproducible():
         model = tiny_model(seed=5)
         g = np.random.default_rng(5).standard_normal(model.theta.size)
         std = {m: np.abs(g[s]) * 0.1 for m, s in model.encoder_spans.items()}
+        rng = np.random.default_rng(11)
+        normals = {m: rng.standard_normal(s.stop - s.start)
+                   for m, s in model.encoder_spans.items()}
         apply_update(model, g, eta=0.1, k={m: 0.8 for m in MODS},
-                     noise_std=std, rng=np.random.default_rng(11))
+                     noise_std=std, normals=normals)
         results.append(model.theta.copy())
     assert np.array_equal(results[0], results[1])
+
+
+def test_noise_draws_are_the_seed_stream_buffer_by_buffer_in_order():
+    normals = {"t": np.empty(7), "a": np.empty(3), "v": np.empty(5)}
+    rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(3):  # each draw goes on from the last
+        assert training.draw_normals(rng, normals) is normals
+        for z in normals.values():
+            assert np.array_equal(z, reference.standard_normal(z.size))
 
 
 def test_gradient_check_rejects_non_finite_gradient():
@@ -433,14 +447,21 @@ def test_noisy_step_matches_per_block_reference_bitwise_one_conversation_per_pac
 
 
 def test_training_is_deterministic_with_noise():
+    # the second run switches threads as often as the interpreter allows,
+    # so the worker's draw lands at every point of a step's backward
     data = tiny_data(conversations=5)
     config = OptimizerConfig(learning_rate=0.1, epochs=2, batch_size=2,
                              noise=True, seed=7)
     rows = []
     finals = []
-    for _ in range(2):
+    default = sys.getswitchinterval()
+    for interval in (default, 1e-6):
         model = tiny_model(seed=11)
-        result = train(model, data, config)
+        sys.setswitchinterval(interval)
+        try:
+            result = train(model, data, config)
+        finally:
+            sys.setswitchinterval(default)
         rows.append([t.csv_row() for t in result.traces])
         finals.append({n: p.data.copy()
                        for n, p in model.named_parameters().items()})
@@ -670,3 +691,45 @@ def test_infinite_gradient_is_checked_before_the_noise_scale(monkeypatch):
     assert str(info.value) == (f"step 2, conversation {bad[0].id}: "
                                "non-finite gradient in encoder.t.in_proj.w")
     assert np.array_equal(model.theta, before[0])
+
+
+def started_threads(monkeypatch):
+    """A list that receives every thread started from here on."""
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started
+
+
+def plant_nan_feature(monkeypatch, data, config):
+    bad = batches(data, config.batch_size, seed=config.seed + 1)[2][1]
+    bad.features["a"][0, 1] = float("nan")
+
+
+def plant_nan_gradient(monkeypatch, data, config):
+    plant_after_backward(monkeypatch, 3, 1, 1, float("nan"))
+
+
+@pytest.mark.parametrize("plant", [plant_nan_feature, plant_nan_gradient])
+def test_noisy_training_joins_its_worker_when_it_diverges(monkeypatch,
+                                                          plant):
+    # step 3 raises in its forward or its gradient check, while the worker
+    # draws that step's noise
+    data = tiny_data(conversations=6)
+    config = OptimizerConfig(learning_rate=0.1, epochs=2, batch_size=2,
+                             noise=True, seed=5)
+    plant(monkeypatch, data, config)
+    started = started_threads(monkeypatch)
+    try:
+        with pytest.raises(DivergenceError, match="step 3"):
+            train(tiny_model(seed=18), data, config)
+        assert len(started) == 1
+        assert not [t for t in threading.enumerate() if t in started]
+    finally:
+        for thread in started:
+            thread.join(timeout=10.0)
