@@ -7,14 +7,15 @@ the parameter blocks the balance optimizer modulates, so they are kept
 cleanly separable from the fusion parameters.
 
 Multi-head self-attention is one graph node with a hand-written backward,
-and each projection is one ``linear`` node, so a layer adds eight nodes to
-the graph whatever the number of heads. The rows are a pack of one or more
-conversations (``tensor.Segments``): every node but self-attention works
-on the rows alone; self-attention projects the whole pack in one matmul
-and attends within each conversation. Each node can write each
-conversation's gradient of its parameters into that conversation's row of
-``segments.grads``, which is how training gets the per-conversation
-encoder gradients its noise estimate needs.
+the feed-forward network is one ``feed_forward`` node, and each residual
+add is part of the ``layer_norm_rows`` node after it, so a layer adds four
+nodes to the graph whatever the number of heads. The rows are a pack of
+one or more conversations (``tensor.Segments``): every node but
+self-attention works on the rows alone; self-attention projects the whole
+pack in one matmul and attends within each conversation. Each node can
+write each conversation's gradient of its parameters into that
+conversation's row of ``segments.grads``, which is how training gets the
+per-conversation encoder gradients its noise estimate needs.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from .tensor import (
     accumulate,
     accumulate_params,
     affine_grads,
+    feed_forward,
     layer_norm_rows,
     linear,
     softmax_array,
@@ -147,10 +149,10 @@ def encode(x, params, segments):
     z = linear(x, params.w_in, params.b_in, segments)
     for block in params.blocks:
         attn = _self_attention(z, block, params.heads, segments)
-        z = layer_norm_rows(z + attn, block["ln1_g"], block["ln1_b"],
-                            segments=segments)
-        ff = linear(linear(z, block["w1"], block["b1"], segments).relu(),
-                    block["w2"], block["b2"], segments)
-        z = layer_norm_rows(z + ff, block["ln2_g"], block["ln2_b"],
-                            segments=segments)
+        z = layer_norm_rows(z, block["ln1_g"], block["ln1_b"],
+                            segments=segments, residual=attn)
+        ff = feed_forward(z, block["w1"], block["b1"], block["w2"],
+                          block["b2"], segments)
+        z = layer_norm_rows(z, block["ln2_g"], block["ln2_b"],
+                            segments=segments, residual=ff)
     return z

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 from .dataset import MODALITIES
 from .encoder import uniform_init, zeros_param
-from .tensor import Tensor, accumulate, linear, softmax_array, softmax_vjp
+from .tensor import (
+    Tensor,
+    accumulate,
+    feed_forward,
+    softmax_array,
+    softmax_vjp,
+)
 
 
 class FeatureWeightParams:
@@ -163,8 +169,8 @@ def fuse_features(attention, z, beta):
 
 def map_attention(z, params):
     """Two-layer ReLU network predicting a modality's attention map."""
-    hidden = linear(z, params.map_w1, params.map_b1).relu()
-    return linear(hidden, params.map_w2, params.map_b2)
+    return feed_forward(z, params.map_w1, params.map_b1, params.map_w2,
+                        params.map_b2)
 
 
 def forward(z, params, beta, segments, active=MODALITIES):

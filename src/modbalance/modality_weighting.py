@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import MODALITIES
 from .encoder import uniform_init, zeros_param
-from .tensor import Tensor, accumulate, linear
+from .tensor import Tensor, accumulate, feed_forward
 
 logger = logging.getLogger(__name__)
 
@@ -129,8 +129,7 @@ def fuse_modalities(features, head, active=MODALITIES, normalized=True):
 
 def classify(fused, params):
     """Final prediction logits; argmax over the last axis picks the class."""
-    hidden = linear(fused, params.w1, params.b1).relu()
-    return linear(hidden, params.w2, params.b2)
+    return feed_forward(fused, params.w1, params.b1, params.w2, params.b2)
 
 
 def weight_norm_trace(head, active=MODALITIES):

@@ -22,11 +22,13 @@ one sum into ``grad`` (the per-example gradients of Goodfellow,
 arXiv:1510.01799). Each such block feeds exactly one node of a graph, so
 its rows are written once per backward and need no zeroing before it.
 
-Each graph node costs Python overhead, so the hot layers are single fused
-nodes with a hand-written backward: ``linear`` and ``layer_norm_rows``
-here, and self-attention, the tensor-ring steps, cosine fusion and
-cross-entropy in the modules that own them. Per-row arithmetic now
-dominates a full pack. The ``Tensor`` methods glue those nodes together.
+Each graph node costs Python overhead and keeps its forward arrays until
+the backward reaches it, so the hot layers are single fused nodes with a
+hand-written backward. Here: ``linear``; ``feed_forward`` (linear, ReLU,
+linear, keeping only the rectified hidden rows); and ``layer_norm_rows``,
+which can take the residual add before it. Self-attention, the
+tensor-ring steps, cosine fusion and cross-entropy are fused in the
+modules that own them. The ``Tensor`` methods glue those nodes together.
 """
 
 import itertools
@@ -268,14 +270,6 @@ class Tensor:
 
         return Tensor._op(self.data @ other.data, (self, other), backward)
 
-    # --- elementwise functions ---
-
-    def relu(self):
-        def backward(g):
-            accumulate(self, g * (self.data > 0.0))
-
-        return Tensor._op(np.maximum(self.data, 0.0), (self,), backward)
-
     # --- reductions ---
 
     def sum(self):
@@ -311,21 +305,52 @@ def linear(x, w, b, segments=None):
     return Tensor._op(x.data @ w.data + b.data, (x, w, b), backward)
 
 
-def layer_norm_rows(x, gamma, beta, eps=1e-6, segments=None):
-    """Standardize each row to zero mean / unit variance, then rescale.
+def feed_forward(x, w1, b1, w2, b2, segments=None):
+    """Two-layer ReLU network ``relu(x @ w1 + b1) @ w2 + b2`` over the rows
+    of ``x``, as one graph node; ``segments`` may ask for per-conversation
+    gradients of its parameters, as ``linear`` does.
 
-    Fused forward and backward. eps bounds the 1/std factor when a row
-    degenerates to a constant, while staying small enough that ordinary
-    rows standardize to unit variance well inside 1e-6. ``segments`` may
-    ask for per-conversation gradients of ``gamma`` and ``beta``.
+    It keeps only the post-ReLU hidden rows ``h``, rectified in place, and
+    masks the backward with ``h > 0``, which equals ``pre > 0`` entry for
+    entry, so values and gradients are bit for bit those of ``linear``,
+    ReLU and ``linear`` as three nodes.
+    """
+    x = _as_tensor(x)
+    h = x.data @ w1.data + b1.data
+    np.maximum(h, 0.0, out=h)
+
+    def backward(g):
+        accumulate_params((w2, b2), affine_grads, (h, g), segments)
+        g_pre = g @ w2.data.T
+        g_pre *= h > 0.0
+        if x.requires_grad:
+            accumulate(x, g_pre @ w1.data.T)
+        accumulate_params((w1, b1), affine_grads, (x.data, g_pre), segments)
+
+    return Tensor._op(h @ w2.data + b2.data, (x, w1, b1, w2, b2), backward)
+
+
+def layer_norm_rows(x, gamma, beta, eps=1e-6, segments=None, residual=None):
+    """Standardize each row of ``x`` (of ``x + residual`` when a residual
+    is given) to zero mean / unit variance, then rescale.
+
+    Fused forward and backward: the residual add is part of the node, and
+    its input gradient goes to ``x`` and then to ``residual``, as an add
+    node would pass it. eps bounds the 1/std factor when a row degenerates
+    to a constant, while staying small enough that ordinary rows
+    standardize to unit variance well inside 1e-6. ``segments`` may ask
+    for per-conversation gradients of ``gamma`` and ``beta``.
     """
     x = _as_tensor(x)
     gamma = _as_tensor(gamma)
     beta = _as_tensor(beta)
+    inputs = (x,) if residual is None else (x, residual)
+    # the sum Tensor.__add__ computes
+    rows = x.data if residual is None else x.data + residual.data
     # sum / width is what ndarray.mean computes, without its Python overhead
-    width = x.data.shape[1]
-    mu = x.data.sum(axis=1, keepdims=True) / width
-    centered = x.data - mu
+    width = rows.shape[1]
+    mu = rows.sum(axis=1, keepdims=True) / width
+    centered = rows - mu
     var = (centered * centered).sum(axis=1, keepdims=True) / width
     inv_std = 1.0 / np.sqrt(var + eps)
     standardized = centered * inv_std
@@ -335,11 +360,13 @@ def layer_norm_rows(x, gamma, beta, eps=1e-6, segments=None):
         accumulate_params(
             (gamma, beta), lambda sg, g: (sg.sum(axis=-2), g.sum(axis=-2)),
             (scaled, g), segments)
-        if x.requires_grad:
+        if any(t.requires_grad for t in inputs):
             gg = g * gamma.data
             gg_mean = gg.sum(axis=1, keepdims=True) / width
             proj = (gg * standardized).sum(axis=1, keepdims=True) / width
-            accumulate(x, inv_std * (gg - gg_mean - standardized * proj))
+            g_rows = inv_std * (gg - gg_mean - standardized * proj)
+            for t in inputs:
+                accumulate(t, g_rows)
 
     return Tensor._op(standardized * gamma.data + beta.data,
-                      (x, gamma, beta), backward)
+                      (*inputs, gamma, beta), backward)

@@ -60,17 +60,20 @@ logger = logging.getLogger(__name__)
 
 SCORE_FLOOR = 1e-12
 
-PACK_ROWS = 128
+PACK_ROWS = 160
 """Most utterances one training graph holds (unless one conversation has
-more). On a shared 2-core VM a pack's forward and backward cost about
-4.9 ms per graph plus 0.084 ms per row (a fit over packs of 1-10
-``train_short`` conversations), so a full pack spends about a third of its
-time on the fixed cost, where a 3-utterance conversation alone spends 95%.
-86% of ``train_short`` batches (58-153 rows, median 112) fit in one pack.
-Larger packs cost memory: on a 642-row ``train_long`` batch the
-tracemalloc peak of a step was 5.6 MB with a graph per conversation,
-6.5 MB at 128 rows, 12.8 MB at 256 and 31 MB with the whole batch in one
-graph."""
+more). On a shared 2-core VM (1 BLAS thread, default model, gradient rows
+on) a one-conversation ``backward_batch`` takes about 1.46 ms per pack
+plus 26 us per row up to 60 rows (p50 1.58 ms at 3 rows, 3.07 ms at 60);
+self-attention's square cost makes longer ones dearer (7.4 ms at 128 rows,
+10.4 ms at 160). So a short conversation alone is almost all fixed cost,
+and fewer packs per step are faster. On ``train_long`` (conversations of
+20-100 utterances, batches of 10) a step runs 5.37 packs at 128 rows, 56%
+of them a single conversation, and 4.11 at 160 rows (25%). The price is
+graph memory: a one-conversation graph holds 6.65 MB at 128 rows and
+9.23 MB at 160 (tracemalloc, forward and losses, before the backward);
+ROADMAP's perf notes weigh larger packs against the benchmark's peak
+RSS."""
 
 TRACE_HEADER = [
     "epoch", "step",
@@ -259,8 +262,10 @@ def backward_batch(model, batch, conv_grads=None, active=MODALITIES, step=0):
     if ``conv_grads`` (a (>= len(batch), encoder_size) matrix) is given,
     its row i conversation i's encoder gradient. The active modalities'
     columns of those rows are written by the backward passes, whatever
-    they held before; the inactive ones' are set to zero here. Returns
-    each active modality's balance-score logits and the labels, over the
+    they held before; the inactive ones' are set to zero here. The block
+    views of the rows (``model.encoder_grad_rows``) are built once per
+    call, and each pack writes through its slice of them. Returns each
+    active modality's balance-score logits and the labels, over the
     batch's utterances, and the (3, B) loss terms of its conversations.
     """
     model.zero_grad()
@@ -268,13 +273,14 @@ def backward_batch(model, batch, conv_grads=None, active=MODALITIES, step=0):
         for m in MODALITIES:
             if m not in active:
                 conv_grads[:len(batch), model.encoder_spans[m]] = 0.0
+        row_views = model.encoder_grad_rows(conv_grads[:len(batch)])
     score_logits = {m: [] for m in active}
     labels, terms = [], []
     first = 0
     for pack in packs(batch):
         last = first + len(pack)
         rows = (None if conv_grads is None
-                else model.encoder_grad_rows(conv_grads[first:last]))
+                else {p: v[first:last] for p, v in row_views.items()})
         segments = Segments([c.num_utterances for c in pack], rows)
         out, pack_labels, values, total = _pack_losses(
             model, pack, segments, active, step)

@@ -15,10 +15,10 @@ from modbalance.encoder import EncoderParams, _self_attention
 from modbalance.feature_weighting import feature_attention, pool_attention
 from modbalance.losses import cls_loss, feature_loss, main_loss, modal_loss
 from modbalance.model import Model, ModelConfig
-from modbalance.tensor import Segments, Tensor
+from modbalance.tensor import Segments, Tensor, feed_forward, layer_norm_rows
 from modbalance.training import backward_batch, packs
 
-from conftest import assert_grad_matches
+from conftest import assert_grad_matches, numeric_grad
 
 DIMS = {"t": 6, "a": 5, "v": 4}
 LENGTHS = (3, 5, 2)  # a pack of three conversations for the op checks
@@ -206,6 +206,63 @@ def test_packed_attention_gradients():
     assert_grad_matches(
         lambda: (_self_attention(x, block, 2, segments) * r).sum(),
         [x, *block.values()])
+
+
+def assert_rows_are_each_conversations_gradient(loss_of, params, inputs,
+                                                tol=1e-6):
+    """One backward of ``loss_of(rows, segments)`` over the LENGTHS pack,
+    with per-conversation rows for ``params``, must write into row j of
+    each the finite-difference gradient of conversation j's loss alone, and
+    pass the pack's gradient to ``inputs``; both checked as conftest's
+    ``assert_grad_matches`` checks, at ``tol``."""
+    segments = Segments(LENGTHS, {p: np.empty((len(LENGTHS),) + p.shape)
+                                  for p in params})
+    whole = slice(None)
+    assert_grad_matches(lambda: loss_of(whole, segments), inputs, tol=tol)
+    for j, rows in enumerate(segments.slices):
+        alone = one_conversation(rows)
+        for p in params:
+            fd = numeric_grad(lambda: loss_of(rows, alone).item(), p)
+            err = np.abs(segments.grads[p][j] - fd) / np.maximum(1.0,
+                                                                 np.abs(fd))
+            assert err.max() < tol, f"conversation {j}: max rel err {err.max()}"
+
+
+def test_packed_feed_forward_gradient_rows():
+    rng = np.random.default_rng(6)
+    n = sum(LENGTHS)
+    x = Tensor(rng.standard_normal((n, 5)), requires_grad=True)
+    params = [Tensor(rng.standard_normal(s), requires_grad=True)
+              for s in ((5, 6), (6,), (6, 3), (3,))]
+    pre = x.data @ params[0].data + params[1].data
+    assert (pre < 0).any() and np.abs(pre).min() > 1e-3  # off the kink
+    r = rng.standard_normal((n, 3))
+
+    def loss_of(rows, segments):
+        xs = x if rows == slice(None) else Tensor(x.data[rows])
+        return (feed_forward(xs, *params, segments=segments)
+                * Tensor(r[rows])).sum()
+
+    assert_rows_are_each_conversations_gradient(loss_of, params, [x])
+
+
+def test_packed_layer_norm_residual_gradient_rows():
+    rng = np.random.default_rng(7)
+    n = sum(LENGTHS)
+    x, residual = (Tensor(rng.standard_normal((n, 6)), requires_grad=True)
+                   for _ in range(2))
+    gamma = Tensor(rng.standard_normal(6) + 1.5, requires_grad=True)
+    beta = Tensor(rng.standard_normal(6), requires_grad=True)
+    r = rng.standard_normal((n, 6))
+
+    def loss_of(rows, segments):
+        xs, res = ((x, residual) if rows == slice(None) else
+                   (Tensor(x.data[rows]), Tensor(residual.data[rows])))
+        return (layer_norm_rows(xs, gamma, beta, segments=segments,
+                                residual=res) * Tensor(r[rows])).sum()
+
+    assert_rows_are_each_conversations_gradient(loss_of, [gamma, beta],
+                                                 [x, residual])
 
 
 def test_packed_pooling_and_contraction_per_conversation():

@@ -22,6 +22,7 @@ from modbalance.tensor import (
     Segments,
     Tensor,
     accumulate,
+    feed_forward,
     layer_norm_rows,
     linear,
     no_grad,
@@ -215,12 +216,41 @@ def test_linear_matches_composed_ops():
     assert np.array_equal(out.data, x @ w + b)
 
 
-def test_grad_relu():
+def feed_forward_leaves(rng, rows=4):
+    """x, w1, b1, w2, b2 of a 5 -> 6 -> 3 network whose pre-activations
+    have both signs and stay at least 1e-3 from the ReLU kink, so finite
+    differences (a step of 1e-5 on entries of order one) never cross it."""
+    leaves = [_leaf(rng, s) for s in ((rows, 5), (5, 6), (6,), (6, 3), (3,))]
+    pre = leaves[0].data @ leaves[1].data + leaves[2].data
+    assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 1e-3
+    return leaves
+
+
+def test_grad_feed_forward():
     rng = np.random.default_rng(16)
-    a = Tensor(rng.standard_normal((3, 3)) + 0.2, requires_grad=True)
-    # keep entries away from the kink so finite differences stay valid
-    a.data[np.abs(a.data) < 0.05] = 0.3
-    assert_grad_matches(lambda: (a.relu() * a).sum(), [a])
+    leaves = feed_forward_leaves(rng)
+    r = Tensor(rng.standard_normal((4, 3)))
+    assert_grad_matches(lambda: (feed_forward(*leaves) * r).sum(), leaves,
+                        tol=1e-6)
+
+
+def test_feed_forward_matches_composed_ops():
+    # forward and every gradient bit for bit those of linear, ReLU and
+    # linear as separate steps
+    rng = np.random.default_rng(27)
+    leaves = feed_forward_leaves(rng)
+    x, w1, b1, w2, b2 = (t.data for t in leaves)
+    g = rng.standard_normal((4, 3))
+    out = feed_forward(*leaves)
+    pre = x @ w1 + b1
+    h = np.maximum(pre, 0.0)
+    assert np.array_equal(out.data, h @ w2 + b2)
+    (out * Tensor(g)).sum().backward()
+    g_pre = (g @ w2.T) * (pre > 0.0)
+    expected = (g_pre @ w1.T, x.T @ g_pre, g_pre.sum(axis=0), h.T @ g,
+                g.sum(axis=0))
+    for leaf, want in zip(leaves, expected):
+        assert np.array_equal(leaf.grad, want)
 
 
 def test_grad_sum_axis_and_mean():
@@ -273,6 +303,47 @@ def test_grad_layer_norm_rows():
     r = Tensor(rng.standard_normal((3, 6)))
     assert_grad_matches(
         lambda: (layer_norm_rows(x, gamma, beta) * r).sum(), [x, gamma, beta])
+
+
+def test_grad_layer_norm_rows_with_residual():
+    rng = np.random.default_rng(32)
+    x = _leaf(rng, (3, 6))
+    residual = _leaf(rng, (3, 6))
+    gamma = Tensor(rng.standard_normal(6) + 1.5, requires_grad=True)
+    beta = _leaf(rng, (6,))
+    r = Tensor(rng.standard_normal((3, 6)))
+    assert_grad_matches(
+        lambda: (layer_norm_rows(x, gamma, beta, residual=residual)
+                 * r).sum(), [x, residual, gamma, beta], tol=1e-6)
+
+
+def test_layer_norm_rows_residual_matches_composed_ops():
+    # forward and every gradient bit for bit those of an add node followed
+    # by a layer norm node, and the forward that of the numpy steps
+    rng = np.random.default_rng(33)
+    leaves = [_leaf(rng, s) for s in ((4, 5), (4, 5), (5,), (5,))]
+    g = Tensor(rng.standard_normal((4, 5)))
+
+    def gradients(build):
+        for leaf in leaves:
+            leaf.grad = None
+        out = build(*leaves)
+        (out * g).sum().backward()
+        return out.data, [leaf.grad for leaf in leaves]
+
+    fused = gradients(lambda x, res, gamma, beta: layer_norm_rows(
+        x, gamma, beta, residual=res))
+    composed = gradients(lambda x, res, gamma, beta: layer_norm_rows(
+        x + res, gamma, beta))
+    assert np.array_equal(fused[0], composed[0])
+    for got, want in zip(fused[1], composed[1]):
+        assert np.array_equal(got, want)
+    x, res, gamma, beta = (leaf.data for leaf in leaves)
+    s = x + res
+    centered = s - s.sum(axis=1, keepdims=True) / 5
+    var = (centered * centered).sum(axis=1, keepdims=True) / 5
+    expected = centered * (1.0 / np.sqrt(var + 1e-6)) * gamma + beta
+    assert np.array_equal(fused[0], expected)
 
 
 def test_layer_norm_rows_matches_composed_ops():
