@@ -32,9 +32,10 @@ class RunConfig:
     """One run: its data (a dataset file, or else a synthetic spec), model,
     optimizer, modality subset and output directory. An instance is valid by
     construction: ``modalities`` is stored as ``parse_modalities`` returns
-    it, and a value of the wrong type raises ConfigError naming the option,
-    so ``from_dict``, direct construction and ``dataclasses.replace`` all
-    check."""
+    it, and a value of the wrong type or an empty ``output_dir`` raises
+    ConfigError naming the option, so ``from_dict``, direct construction
+    and ``dataclasses.replace`` all check. An empty ``data_path`` means
+    synthetic data; ``from_dict`` refuses an empty ``path``."""
 
     data_path: str = ""
     synth: dataset.SynthSpec = field(default_factory=dataset.SynthSpec)
@@ -47,6 +48,8 @@ class RunConfig:
         object.__setattr__(self, "modalities",
                            parse_modalities(self.modalities))
         check_fields(self, "run options")
+        if not self.output_dir:
+            raise ConfigError("run options: output_dir must not be empty")
 
     @classmethod
     def from_dict(cls, payload):
@@ -56,6 +59,8 @@ class RunConfig:
         check_keys(data, ("path", "synth"), "data options")
         if "path" in data and "synth" in data:
             raise ConfigError("data options: set path or synth, not both")
+        if data.get("path") == "":
+            raise ConfigError("data options: path must not be empty")
         output = payload.get("output", {})
         check_keys(output, ("dir",), "output options")
         return cls(data_path=data.get("path", ""),
@@ -143,6 +148,8 @@ def cmd_eval(checkpoint_path, data_path, modalities=MODALITIES, out_dir=None):
     """Evaluate a checkpoint on a dataset with a modality subset, taken in
     ``MODALITIES`` order."""
     modalities = parse_modalities(modalities)
+    if out_dir == "":
+        raise ConfigError("eval --out must not be empty")
     model = Model.load(checkpoint_path)
     data = dataset.load(data_path)
     if data.num_classes != model.num_classes or data.dims != model.dims:
@@ -196,11 +203,11 @@ def _apply_overrides(config, args):
     """The config with the command line's overrides, checked as any
     RunConfig is."""
     overrides = {}
-    if args.out:
+    if args.out is not None:
         overrides["output_dir"] = args.out
     if args.seed is not None:
         overrides["optim"] = replace(config.optim, seed=args.seed)
-    if getattr(args, "modalities", None):  # ablate has no --modalities
+    if getattr(args, "modalities", None) is not None:  # not on ablate
         overrides["modalities"] = args.modalities
     return replace(config, **overrides)
 

@@ -29,56 +29,37 @@ from .tensor import (
     layer_norm_rows,
     linear,
     softmax_array,
+    softmax_vjp,
 )
-
-
-def uniform_init(rng, shape, fan_in):
-    """Seeded uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
-    scale = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
-
-
-def zeros_param(shape):
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def ones_param(shape):
-    return Tensor(np.ones(shape), requires_grad=True)
 
 
 class EncoderParams:
     """Weights for one modality's encoder, shaped by a
-    ``model.ModelConfig``; creation order is fixed."""
+    ``model.ModelConfig``, made by ``new`` (a ``tensor.Parameters``) under
+    ``prefix`` in this order."""
 
-    def __init__(self, input_dim, config, rng):
+    def __init__(self, input_dim, config, new, prefix):
         h, f = config.hidden, config.ffn
         self.heads = config.heads
-        self.w_in = uniform_init(rng, (input_dim, h), input_dim)
-        self.b_in = zeros_param((h,))
-        self.blocks = []
-        for _ in range(config.layers):
-            self.blocks.append({
-                "wq": uniform_init(rng, (h, h), h),
-                "wk": uniform_init(rng, (h, h), h),
-                "wv": uniform_init(rng, (h, h), h),
-                "wo": uniform_init(rng, (h, h), h),
-                "bo": zeros_param((h,)),
-                "ln1_g": ones_param((h,)),
-                "ln1_b": zeros_param((h,)),
-                "w1": uniform_init(rng, (h, f), h),
-                "b1": zeros_param((f,)),
-                "w2": uniform_init(rng, (f, h), f),
-                "b2": zeros_param((h,)),
-                "ln2_g": ones_param((h,)),
-                "ln2_b": zeros_param((h,)),
-            })
-
-    def named_parameters(self, prefix):
-        yield f"{prefix}.in_proj.w", self.w_in
-        yield f"{prefix}.in_proj.b", self.b_in
-        for i, block in enumerate(self.blocks):
-            for key, value in block.items():
-                yield f"{prefix}.block{i}.{key}", value
+        self.w_in = new(f"{prefix}.in_proj.w", (input_dim, h), input_dim)
+        self.b_in = new(f"{prefix}.in_proj.b", (h,), "zeros")
+        self.blocks = [
+            {key: new(f"{prefix}.block{i}.{key}", shape, init)
+             for key, shape, init in (
+                 ("wq", (h, h), h),
+                 ("wk", (h, h), h),
+                 ("wv", (h, h), h),
+                 ("wo", (h, h), h),
+                 ("bo", (h,), "zeros"),
+                 ("ln1_g", (h,), "ones"),
+                 ("ln1_b", (h,), "zeros"),
+                 ("w1", (h, f), h),
+                 ("b1", (f,), "zeros"),
+                 ("w2", (f, h), f),
+                 ("b2", (h,), "zeros"),
+                 ("ln2_g", (h,), "ones"),
+                 ("ln2_b", (h,), "zeros"))}
+            for i in range(config.layers)]
 
 
 def _self_attention(x, block, heads, segments):
@@ -119,10 +100,8 @@ def _self_attention(x, block, heads, segments):
             q, k, v = qkv[:, :, rows]
             g_q, g_k, g_v = g_qkv[:, :, rows]
             g_heads = g_mixed[:, rows]
-            # softmax_vjp's arithmetic in place, then the score scale
-            g_scores = np.matmul(g_heads, v.swapaxes(1, 2))
-            g_scores -= (g_scores * weights).sum(axis=2, keepdims=True)
-            g_scores *= weights
+            g_scores = softmax_vjp(
+                weights, np.matmul(g_heads, v.swapaxes(1, 2)), axis=2)
             g_scores *= scale
             np.matmul(g_scores, k, out=g_q)
             np.matmul(g_scores.swapaxes(1, 2), q, out=g_k)

@@ -20,7 +20,6 @@ steps work on rows alone.
 from dataclasses import dataclass
 
 from .dataset import MODALITIES
-from .encoder import uniform_init, zeros_param
 from .tensor import (
     Tensor,
     accumulate,
@@ -31,32 +30,20 @@ from .tensor import (
 
 
 class FeatureWeightParams:
-    """Per-modality projections, output map, and attention mapper."""
+    """Per-modality projections, output map, and attention mapper, made by
+    ``new`` (a ``tensor.Parameters``) under ``prefix`` in this order."""
 
-    def __init__(self, hidden, rank, rng):
-        self.hidden = hidden
-        self.rank = rank
-        self.query1 = uniform_init(rng, (hidden, rank), hidden)
-        self.query2 = uniform_init(rng, (hidden, rank), hidden)
-        self.key1 = uniform_init(rng, (hidden, rank), hidden)
-        self.key2 = uniform_init(rng, (hidden, rank), hidden)
+    def __init__(self, hidden, rank, new, prefix):
+        self.query1 = new(f"{prefix}.query1", (hidden, rank), hidden)
+        self.query2 = new(f"{prefix}.query2", (hidden, rank), hidden)
+        self.key1 = new(f"{prefix}.key1", (hidden, rank), hidden)
+        self.key2 = new(f"{prefix}.key2", (hidden, rank), hidden)
         # no bias on the output map: zero attention propagates to zero
-        self.out = uniform_init(rng, (rank * rank, hidden), rank * rank)
-        self.map_w1 = uniform_init(rng, (hidden, hidden), hidden)
-        self.map_b1 = zeros_param((hidden,))
-        self.map_w2 = uniform_init(rng, (hidden, hidden), hidden)
-        self.map_b2 = zeros_param((hidden,))
-
-    def named_parameters(self, prefix):
-        yield f"{prefix}.query1", self.query1
-        yield f"{prefix}.query2", self.query2
-        yield f"{prefix}.key1", self.key1
-        yield f"{prefix}.key2", self.key2
-        yield f"{prefix}.out", self.out
-        yield f"{prefix}.map.w1", self.map_w1
-        yield f"{prefix}.map.b1", self.map_b1
-        yield f"{prefix}.map.w2", self.map_w2
-        yield f"{prefix}.map.b2", self.map_b2
+        self.out = new(f"{prefix}.out", (rank * rank, hidden), rank * rank)
+        self.map_w1 = new(f"{prefix}.map.w1", (hidden, hidden), hidden)
+        self.map_b1 = new(f"{prefix}.map.b1", (hidden,), "zeros")
+        self.map_w2 = new(f"{prefix}.map.w2", (hidden, hidden), hidden)
+        self.map_b2 = new(f"{prefix}.map.b2", (hidden,), "zeros")
 
 
 @dataclass
@@ -97,6 +84,7 @@ def attention_coefficients(cores_q, cores_k):
     theta = softmax_array(scores.reshape(n, rank * rank), axis=1)
 
     def backward(g):
+        # g is this node's own gradient, read by nothing after this call
         g_scores = softmax_vjp(theta, g.reshape(n, rank * rank), axis=1)
         g_scores = g_scores.reshape(n, rank, rank) * scale
         accumulate(cores_q, g_scores * cores_k.data)

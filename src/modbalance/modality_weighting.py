@@ -17,7 +17,6 @@ import logging
 import numpy as np
 
 from .dataset import MODALITIES
-from .encoder import uniform_init, zeros_param
 from .tensor import Tensor, accumulate, feed_forward
 
 logger = logging.getLogger(__name__)
@@ -26,37 +25,25 @@ NORM_FLOOR = 1e-12
 
 
 class FusionHead:
-    """Per-modality output matrices (h x |E|) and one shared bias."""
+    """Per-modality output matrices (h x |E|) and one shared bias, made by
+    ``new`` (a ``tensor.Parameters``) under ``prefix`` in this order."""
 
-    def __init__(self, hidden, num_classes, rng):
-        self.hidden = hidden
-        self.num_classes = num_classes
-        self.weights = {
-            m: uniform_init(rng, (hidden, num_classes), hidden)
-            for m in MODALITIES
-        }
-        self.bias = zeros_param((num_classes,))
-
-    def named_parameters(self, prefix="head"):
-        for m in MODALITIES:
-            yield f"{prefix}.{m}.w", self.weights[m]
-        yield f"{prefix}.b", self.bias
+    def __init__(self, hidden, num_classes, new, prefix):
+        self.weights = {m: new(f"{prefix}.{m}.w", (hidden, num_classes),
+                               hidden)
+                        for m in MODALITIES}
+        self.bias = new(f"{prefix}.b", (num_classes,), "zeros")
 
 
 class ClassifierParams:
-    """ReLU MLP |E| -> hidden -> |E| on top of the fused logits."""
+    """ReLU MLP |E| -> hidden -> |E| on top of the fused logits, made by
+    ``new`` (a ``tensor.Parameters``) under ``prefix`` in this order."""
 
-    def __init__(self, num_classes, hidden, rng):
-        self.w1 = uniform_init(rng, (num_classes, hidden), num_classes)
-        self.b1 = zeros_param((hidden,))
-        self.w2 = uniform_init(rng, (hidden, num_classes), hidden)
-        self.b2 = zeros_param((num_classes,))
-
-    def named_parameters(self, prefix="classifier"):
-        yield f"{prefix}.w1", self.w1
-        yield f"{prefix}.b1", self.b1
-        yield f"{prefix}.w2", self.w2
-        yield f"{prefix}.b2", self.b2
+    def __init__(self, num_classes, hidden, new, prefix):
+        self.w1 = new(f"{prefix}.w1", (num_classes, hidden), num_classes)
+        self.b1 = new(f"{prefix}.b1", (hidden,), "zeros")
+        self.w2 = new(f"{prefix}.w2", (hidden, num_classes), hidden)
+        self.b2 = new(f"{prefix}.b2", (num_classes,), "zeros")
 
 
 def _floored_norm(x, axis, what):

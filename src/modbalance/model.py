@@ -1,8 +1,10 @@
 """The assembled model: encoders, feature weighting, fusion, classifier.
 
-One ``Model`` owns every parameter block, held in registry order in one
-flat float64 vector ``theta``; their gradients fill a second vector
-``grad``. Each block's ``data`` and ``grad`` are views of its slice, and
+One ``Model`` owns every parameter block. One ``tensor.Parameters`` makes
+them, each under its name, encoders first; the order it makes them in is
+the order of the seeded draws, of the registry and of the checkpoint
+layout. They are held in that order in one flat float64 vector ``theta``;
+their gradients fill a second vector ``grad``. Each block's ``data`` and ``grad`` are views of its slice, and
 ``layout`` lists each block's name, shape and byte offset in ``theta``.
 A checkpoint is ``theta`` under a header whose tensor list is ``layout``;
 ``load`` refuses a file whose list differs from the layout its metadata
@@ -35,7 +37,7 @@ from .modality_weighting import (
     classify,
     fuse_modalities,
 )
-from .tensor import Segments, Tensor
+from .tensor import Parameters, Segments, Tensor
 
 # Options removed from ModelConfig, at the only values a checkpoint may hold.
 # Checkpoints still record them, so the file format does not change.
@@ -97,6 +99,10 @@ class ForwardPass:
 
 
 class Model:
+    """The parameter blocks of ``config`` for ``num_classes`` classes and
+    per-modality input widths ``dims``, drawn from ``seed`` and held in
+    ``theta`` (see the module note), and the forward pass over them."""
+
     def __init__(self, config, num_classes, dims, seed):
         if num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
@@ -106,49 +112,39 @@ class Model:
         self.config = config
         self.num_classes = num_classes
         self.dims = {m: int(dims[m]) for m in MODALITIES}
-        rng = np.random.default_rng(seed)
-        self.encoders = {
-            m: EncoderParams(self.dims[m], config, rng) for m in MODALITIES
-        }
+        # blocks are made, and so seeded and laid out, encoders first
+        new = Parameters(np.random.default_rng(seed))
+        self.encoders, self.encoder_spans = {}, {}
+        for m in MODALITIES:
+            start = new.size
+            self.encoders[m] = EncoderParams(self.dims[m], config, new,
+                                             f"encoder.{m}")
+            self.encoder_spans[m] = slice(start, new.size)
+        self.encoder_size = new.size
         self.afw_params = {
-            m: afw.FeatureWeightParams(config.hidden, config.rank, rng)
+            m: afw.FeatureWeightParams(config.hidden, config.rank, new,
+                                       f"afw.{m}")
             for m in MODALITIES
         }
-        self.head = FusionHead(config.hidden, num_classes, rng)
-        self.classifier = ClassifierParams(num_classes, 2 * num_classes, rng)
-        self._registry = self._build_registry()
-
-    # --- parameter registry ---
-
-    def _build_registry(self):
-        """Name -> block, encoders first; copies the blocks into ``theta``,
-        makes each ``data`` and ``grad`` a view of its slice of ``theta``
-        and ``grad`` (rebinding one later would detach it) and records the
-        checkpoint ``layout``."""
-        params = {}
-        for m in MODALITIES:
-            params.update(self.encoders[m].named_parameters(f"encoder.{m}"))
-        for m in MODALITIES:
-            params.update(self.afw_params[m].named_parameters(f"afw.{m}"))
-        params.update(self.head.named_parameters("head"))
-        params.update(self.classifier.named_parameters("classifier"))
-        blocks = list(params.values())
+        self.head = FusionHead(config.hidden, num_classes, new, "head")
+        self.classifier = ClassifierParams(num_classes, 2 * num_classes, new,
+                                           "classifier")
+        # copy the blocks into theta and make each data and grad a view of
+        # its slice of theta and grad (rebinding one later would detach it)
+        self._registry = new.blocks
+        blocks = list(new.blocks.values())
         self.offsets = np.cumsum([0] + [p.data.size for p in blocks])
         self.theta = np.concatenate([p.data.ravel() for p in blocks])
         self.grad = np.zeros_like(self.theta)
         self.layout = [{"name": name, "shape": list(p.data.shape),
                         "offset": 8 * int(start)}
-                       for (name, p), start in zip(params.items(),
+                       for (name, p), start in zip(new.blocks.items(),
                                                    self.offsets)]
         for p, start, stop in zip(blocks, self.offsets, self.offsets[1:]):
             p.data = self.theta[start:stop].reshape(p.data.shape)
             p.grad = self.grad[start:stop].reshape(p.data.shape)
-        sizes = [sum(p.data.size for _, p in self.encoders[m].named_parameters(m))
-                 for m in MODALITIES]
-        self.encoder_size = sum(sizes)
-        self.encoder_spans = {m: slice(int(stop) - size, int(stop)) for m, size,
-                              stop in zip(MODALITIES, sizes, np.cumsum(sizes))}
-        return params
+
+    # --- parameter registry ---
 
     def named_parameters(self):
         """Fixed-order name -> Tensor mapping over every parameter block."""

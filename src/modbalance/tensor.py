@@ -10,7 +10,8 @@ results never form reference cycles. ``backward()`` releases the graph as
 it goes: once a node has passed its gradient on, it drops that gradient,
 its parents and its backward function (and with it the forward arrays the
 function kept). Leaves keep their gradients; a graph is backpropagated
-once.
+once. A model's learned leaves, its parameter blocks, are made by
+``Parameters``, each under its name, in the order of its registry.
 
 A graph runs one or more conversations, packed row-wise into one
 sequence; ``Segments`` says which rows belong to which conversation, and a
@@ -280,6 +281,35 @@ class Tensor:
         return Tensor._op(self.data.sum(), (self,), backward)
 
 
+class Parameters:
+    """Maker of a model's parameter blocks, in one fixed order.
+
+    ``new(name, shape, init)`` returns a leaf Tensor that requires
+    gradients, filled by ``init``: a fan-in (uniform in
+    [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn from ``rng``), ``"zeros"`` or
+    ``"ones"``. It records the block in ``blocks`` (name -> Tensor) and
+    counts the entries made so far in ``size``. The order of the calls is
+    both the order of the seeded draws and the order of ``blocks``.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.blocks = {}
+        self.size = 0
+
+    def __call__(self, name, shape, init):
+        if init == "zeros":
+            data = np.zeros(shape)
+        elif init == "ones":
+            data = np.ones(shape)
+        else:
+            scale = 1.0 / np.sqrt(init)
+            data = self.rng.uniform(-scale, scale, size=shape)
+        block = self.blocks[name] = Tensor(data, requires_grad=True)
+        self.size += data.size
+        return block
+
+
 def softmax_array(x, axis=-1):
     """Numerically stable softmax of a numpy array along ``axis``."""
     e = np.exp(x - x.max(axis=axis, keepdims=True))
@@ -288,8 +318,10 @@ def softmax_array(x, axis=-1):
 
 def softmax_vjp(y, g, axis=-1):
     """Gradient at the input of ``y = softmax_array(x, axis)``, given the
-    gradient ``g`` at its output."""
-    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+    gradient ``g`` at its output; computed in ``g``, which it returns."""
+    g -= (g * y).sum(axis=axis, keepdims=True)
+    g *= y
+    return g
 
 
 def linear(x, w, b, segments=None):

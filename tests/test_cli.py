@@ -199,6 +199,18 @@ BAD_INPUTS = {
         tmp_path, {"output": {"dir": None}}), "dir"),
     "run_config_data_path_int": (lambda tmp_path: train_argv(
         tmp_path, {"data": {"path": 5}}), "path"),
+    "run_config_data_path_empty": (lambda tmp_path: train_argv(
+        tmp_path, {"data": {"path": ""}}), "path"),
+    "run_config_output_dir_empty": (lambda tmp_path: train_argv(
+        tmp_path, {"output": {"dir": ""}}), "output_dir"),
+    "train_modalities_override_empty": (lambda tmp_path: [
+        *train_argv(tmp_path, {}), "--modalities", ""], "modalities"),
+    **{f"{command}_out_override_empty": (
+        lambda tmp_path, command=command: [
+            command, *train_argv(tmp_path, {})[1:], "--out", ""],
+        "output_dir") for command in ("train", "ablate")},
+    "eval_out_empty": (lambda tmp_path: [
+        *eval_argv(tmp_path, tmp_path / "ckpt.bin"), "--out", ""], "--out"),
     "run_config_data_path_and_synth": (lambda tmp_path: train_argv(
         tmp_path, {"data": {"path": "d.json", "synth": {"conversations": 3}}}),
         "path or synth"),

@@ -10,6 +10,7 @@ from modbalance.encoder import EncoderParams, encode
 from modbalance.errors import ConfigError, ShapeError
 from modbalance.model import Model, ModelConfig
 from modbalance.tensor import (
+    Parameters,
     Segments,
     Tensor,
     accumulate,
@@ -31,7 +32,7 @@ def tiny_config(**overrides):
 
 def make_params(input_dim=5, seed=0, **overrides):
     return EncoderParams(input_dim, tiny_config(**overrides),
-                         np.random.default_rng(seed))
+                         Parameters(np.random.default_rng(seed)), "enc")
 
 
 def test_config_rejects_bad_head_split():
@@ -200,12 +201,12 @@ def test_layer_norm_standardizes_rows():
 
 
 def test_encoder_gradients_match_finite_differences():
-    params = make_params(input_dim=3, seed=8)
+    new = Parameters(np.random.default_rng(8))
+    params = EncoderParams(3, tiny_config(), new, "enc")
     rng = np.random.default_rng(11)
     x = rng.standard_normal((3, 3))
     r = Tensor(rng.standard_normal((3, 8)))
-    names_and_params = list(params.named_parameters("enc"))
-    leaves = [p for _, p in names_and_params]
+    leaves = list(new.blocks.values())
 
     assert_grad_matches(
         lambda: (encode(x, params, Segments([3])) * r).sum(), leaves)

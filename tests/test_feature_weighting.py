@@ -13,7 +13,7 @@ from modbalance.feature_weighting import (
     map_attention,
     pool_attention,
 )
-from modbalance.tensor import Segments, Tensor
+from modbalance.tensor import Parameters, Segments, Tensor
 
 from conftest import assert_grad_matches
 
@@ -228,7 +228,7 @@ def test_fuse_small_beta_scales_residual():
 
 def test_map_attention_zero_weights_broadcast_bias():
     rng = np.random.default_rng(15)
-    params = FeatureWeightParams(hidden=4, rank=2, rng=rng)
+    params = FeatureWeightParams(4, 2, Parameters(rng), "afw")
     params.map_w1.data[:] = 0.0
     params.map_w2.data[:] = 0.0
     params.map_b1.data[:] = 0.0
@@ -240,7 +240,7 @@ def test_map_attention_zero_weights_broadcast_bias():
 
 def test_map_attention_shape_matches_attention():
     rng = np.random.default_rng(16)
-    params = FeatureWeightParams(hidden=4, rank=2, rng=rng)
+    params = FeatureWeightParams(4, 2, Parameters(rng), "afw")
     for n in (1, 3, 6):
         out = map_attention(make_z(rng, n=n, hidden=4), params)
         assert out.shape == (n, 4)
@@ -248,7 +248,7 @@ def test_map_attention_shape_matches_attention():
 
 def test_map_attention_gradients():
     rng = np.random.default_rng(17)
-    params = FeatureWeightParams(hidden=3, rank=2, rng=rng)
+    params = FeatureWeightParams(3, 2, Parameters(rng), "afw")
     z = make_z(rng, n=2, hidden=3)
     leaves = [params.map_w1, params.map_b1, params.map_w2, params.map_b2]
     assert_grad_matches(lambda: map_attention(z, params).sum(), leaves)
@@ -258,8 +258,8 @@ def test_map_attention_gradients():
 
 def test_forward_is_differentiable_end_to_end():
     rng = np.random.default_rng(18)
-    params = {m: FeatureWeightParams(hidden=3, rank=2, rng=rng)
-              for m in ("t", "a", "v")}
+    new = Parameters(rng)
+    params = {m: FeatureWeightParams(3, 2, new, m) for m in ("t", "a", "v")}
     z = {m: Tensor(rng.standard_normal((2, 3)), requires_grad=True)
          for m in ("t", "a", "v")}
 
@@ -271,17 +271,15 @@ def test_forward_is_differentiable_end_to_end():
             total = term if total is None else total + term
         return total
 
-    leaves = [z[m] for m in ("t", "a", "v")]
-    leaves += [p for m in ("t", "a", "v")
-               for _, p in params[m].named_parameters(m)]
+    leaves = [z[m] for m in ("t", "a", "v")] + list(new.blocks.values())
     assert_grad_matches(build, leaves)
 
 
 @pytest.mark.parametrize("active", [("a",), ("t", "v")])
 def test_forward_on_a_subset_is_differentiable(active):
     rng = np.random.default_rng(24)
-    params = {m: FeatureWeightParams(hidden=3, rank=2, rng=rng)
-              for m in ("t", "a", "v")}
+    new = Parameters(rng)
+    params = {m: FeatureWeightParams(3, 2, new, m) for m in ("t", "a", "v")}
     z = {m: Tensor(rng.standard_normal((3, 3)), requires_grad=True)
          for m in active}
     r = {m: Tensor(rng.standard_normal((3, 3))) for m in active}
@@ -296,13 +294,14 @@ def test_forward_on_a_subset_is_differentiable(active):
         return total
 
     leaves = list(z.values())
-    leaves += [p for m in active for _, p in params[m].named_parameters(m)]
+    leaves += [p for name, p in new.blocks.items()
+               if name.split(".")[0] in active]
     assert_grad_matches(build, leaves)
 
 
 def test_forward_respects_modality_subset():
     rng = np.random.default_rng(19)
-    params = {m: FeatureWeightParams(hidden=3, rank=2, rng=rng)
+    params = {m: FeatureWeightParams(3, 2, Parameters(rng), m)
               for m in ("t", "a", "v")}
     z = {m: Tensor(rng.standard_normal((2, 3))) for m in ("t", "a")}
     state = forward(z, params, beta=0.5, segments=Segments([2]),

@@ -12,7 +12,7 @@ from modbalance.modality_weighting import (
     fuse_modalities,
     weight_norm_trace,
 )
-from modbalance.tensor import Tensor
+from modbalance.tensor import Parameters, Tensor
 
 from conftest import assert_grad_matches
 
@@ -20,7 +20,8 @@ MODS = ("t", "a", "v")
 
 
 def make_head(hidden=4, num_classes=3, seed=0):
-    return FusionHead(hidden, num_classes, np.random.default_rng(seed))
+    return FusionHead(hidden, num_classes,
+                      Parameters(np.random.default_rng(seed)), "head")
 
 
 def random_features(rng, n=5, hidden=4):
@@ -166,7 +167,7 @@ def test_fusion_gradients_match_finite_differences():
     head = make_head(hidden=3, num_classes=2)
     features = {m: Tensor(rng.standard_normal((2, 3)), requires_grad=True)
                 for m in MODS}
-    leaves = list(features.values()) + [p for _, p in head.named_parameters()]
+    leaves = [*features.values(), *head.weights.values(), head.bias]
     assert_grad_matches(
         lambda: fuse_modalities(features, head)[0].sum(), leaves)
 
@@ -176,7 +177,8 @@ def test_fusion_gradients_match_finite_differences():
 def test_classifier_pass_through_keeps_argmax():
     num_classes = 3
     params = ClassifierParams(num_classes, num_classes,
-                              np.random.default_rng(8))
+                              Parameters(np.random.default_rng(8)),
+                              "classifier")
     offset = 10.0  # push the hidden layer into the linear region of ReLU
     params.w1.data[:] = np.eye(num_classes)
     params.b1.data[:] = offset
@@ -189,7 +191,8 @@ def test_classifier_pass_through_keeps_argmax():
 
 
 def test_classifier_batch_shape():
-    params = ClassifierParams(4, 8, np.random.default_rng(9))
+    params = ClassifierParams(4, 8, Parameters(np.random.default_rng(9)),
+                              "classifier")
     rng = np.random.default_rng(10)
     for n in (1, 6):
         out = classify(Tensor(rng.standard_normal((n, 4))), params)
@@ -197,10 +200,11 @@ def test_classifier_batch_shape():
 
 
 def test_classifier_gradients():
-    params = ClassifierParams(3, 5, np.random.default_rng(11))
+    params = ClassifierParams(3, 5, Parameters(np.random.default_rng(11)),
+                              "classifier")
     fused = Tensor(np.random.default_rng(12).standard_normal((2, 3)),
                    requires_grad=True)
-    leaves = [fused] + [p for _, p in params.named_parameters()]
+    leaves = [fused, params.w1, params.b1, params.w2, params.b2]
     assert_grad_matches(lambda: classify(fused, params).sum(), leaves)
 
 

@@ -15,7 +15,8 @@ from modbalance.encoder import EncoderParams, _self_attention
 from modbalance.feature_weighting import feature_attention, pool_attention
 from modbalance.losses import cls_loss, feature_loss, main_loss, modal_loss
 from modbalance.model import Model, ModelConfig
-from modbalance.tensor import Segments, Tensor, feed_forward, layer_norm_rows
+from modbalance.tensor import (Parameters, Segments, Tensor, feed_forward,
+                               layer_norm_rows)
 from modbalance.training import backward_batch, packs
 
 from conftest import assert_grad_matches, numeric_grad
@@ -183,7 +184,8 @@ def test_pad_of_one_conversation_is_a_view_and_of_several_zero_filled():
 
 def attention_block(rng, hidden=8):
     return EncoderParams(4, ModelConfig(hidden=hidden, layers=1, heads=2,
-                                        ffn=8), rng).blocks[0]
+                                        ffn=8), Parameters(rng),
+                         "enc").blocks[0]
 
 
 def test_packed_attention_attends_within_each_conversation():
