@@ -125,7 +125,7 @@ def encode(x, params, segments):
     ``segments`` marks the conversations of the rows (see the module note).
     The caller (``Model.forward``) checks the shape of ``x``.
     """
-    z = linear(x, params.w_in, params.b_in, segments)
+    z = linear(Tensor(x), params.w_in, params.b_in, segments)
     for block in params.blocks:
         attn = _self_attention(z, block, params.heads, segments)
         z = layer_norm_rows(z, block["ln1_g"], block["ln1_b"],

@@ -15,8 +15,8 @@ The rows are a pack of one or more conversations (``tensor.Segments``;
 without one, the rows are a single conversation), and each loss is a
 vector of one value per conversation, each conversation's rows weighted by
 one over its own length, so the pack's total is the sum of what each
-conversation alone would give. ``main_loss`` adds the vectors term by
-term.
+conversation alone would give. ``main_loss`` is one node: it adds the
+three vectors and sums them into the pack's scalar total.
 """
 
 from dataclasses import dataclass
@@ -105,7 +105,15 @@ def feature_loss(attention, mapped, segments=None):
 
 
 def main_loss(cls_term, feature_term, modal_term):
-    """Unweighted sum of the three terms: scalars, or one value per
-    conversation of a pack. In training, ``training._pack_losses`` has
+    """The unweighted total of the three terms, as one 0-d node: the sum,
+    over the conversations of a pack, of each conversation's three terms
+    (or of three 0-d terms). In training, ``training._pack_losses`` has
     already refused a non-finite term, naming its conversation."""
-    return cls_term + feature_term + modal_term
+    terms = (cls_term, feature_term, modal_term)
+
+    def backward(g):
+        for term in terms:
+            accumulate(term, np.broadcast_to(g, term.shape))
+
+    return Tensor._op((cls_term.data + feature_term.data
+                       + modal_term.data).sum(), terms, backward)

@@ -6,10 +6,11 @@ fused logits by sheer feature or weight magnitude. Contributions are summed
 over the active modalities and a single shared bias is added afterwards.
 A small ReLU classifier maps the fused logits to the final predictions.
 
-Each modality's cosine term is one graph node with a hand-written
-backward. A feature row or weight column whose norm is below
-``NORM_FLOOR`` is divided by the floor instead, and its gradient is the
-plain ``1 / floor`` scaling, so it stays finite.
+The whole fusion (every modality's cosine term and the bias) is one graph
+node with a hand-written backward. A feature row or weight column whose
+norm is at or below ``NORM_FLOOR`` is divided by the floor instead and
+gets a zero gradient, so a missing (all-zero) modality stays finite and
+adds a constant 0 to every cosine logit.
 """
 
 import logging
@@ -70,48 +71,53 @@ def _normalize_vjp(unit, norm, g, axis):
     """Gradient at ``x`` of ``unit = x / norm``, given ``g`` at ``unit``.
 
     Above the floor the norm is ``|x|`` and the gradient removes the radial
-    part of ``g``; at the floor the norm is a constant.
+    part of ``g``. At the floor ``x`` is taken as missing: its gradient is
+    zero, so a zero feature row or weight column neither learns nor blows
+    up (``g / NORM_FLOOR`` would be a factor of 1e12).
     """
-    radial = (g * unit).sum(axis=axis, keepdims=True) * (norm > NORM_FLOOR)
-    return (g - unit * radial) / norm
-
-
-def _cosine_logits(z, w, m):
-    """Cosine of each row of ``z`` (N x h) with each column of ``w``
-    (h x |E|), as one graph node; ``m`` names the modality in warnings."""
-    z_norm = _floored_norm(z.data, axis=1, what=f"{m} feature rows")
-    w_norm = _floored_norm(w.data, axis=0, what=f"{m} weight columns")
-    zn = z.data / z_norm
-    wn = w.data / w_norm
-
-    def backward(g):
-        if z.requires_grad:
-            accumulate(z, _normalize_vjp(zn, z_norm, g @ wn.T, axis=1))
-        accumulate(w, _normalize_vjp(wn, w_norm, zn.T @ g, axis=0))
-
-    return Tensor._op(zn @ wn, (z, w), backward)
+    radial = (g * unit).sum(axis=axis, keepdims=True)
+    return (g - unit * radial) / norm * (norm > NORM_FLOOR)
 
 
 def fuse_modalities(features, head, active=MODALITIES, normalized=True):
-    """Fuse per-modality features into class logits.
+    """Fuse per-modality features into class logits, as one graph node.
 
     Returns ``(logits, contributions)`` where ``contributions[m]`` is the
-    bias-free (N x |E|) term of modality ``m``. With ``normalized`` each
-    entry is a cosine in [-1, 1]; without it the fusion degrades to a plain
-    linear map (the no-normalization ablation).
+    bias-free (N x |E|) array of modality ``m``'s term. With ``normalized``
+    each entry is the cosine of a feature row of ``m`` with a column of its
+    output matrix, in [-1, 1]; without it the fusion degrades to a plain
+    linear map ``z @ w`` (the no-normalization ablation). The terms are
+    summed in ``active`` order and the shared bias is added last.
     """
-    contributions = {}
+    contributions, parts, parents = {}, [], []
     logits = None
     for m in active:
-        z = features[m]
-        w = head.weights[m]
+        z, w = features[m], head.weights[m]
         if normalized:
-            contrib = _cosine_logits(z, w, m)
+            z_norm = _floored_norm(z.data, axis=1, what=f"{m} feature rows")
+            w_norm = _floored_norm(w.data, axis=0, what=f"{m} weight columns")
+            zn, wn = z.data / z_norm, w.data / w_norm
         else:
-            contrib = z @ w
-        contributions[m] = contrib
-        logits = contrib if logits is None else logits + contrib
-    return logits + head.bias, contributions
+            z_norm = w_norm = None
+            zn, wn = z.data, w.data
+        contributions[m] = zn @ wn
+        logits = (contributions[m] if logits is None
+                  else logits + contributions[m])
+        parts.append((z, w, zn, wn, z_norm, w_norm))
+        parents += (z, w)
+
+    def backward(g):
+        for z, w, zn, wn, z_norm, w_norm in parts:
+            g_z, g_w = g @ wn.T, zn.T @ g
+            if normalized:
+                g_z = _normalize_vjp(zn, z_norm, g_z, axis=1)
+                g_w = _normalize_vjp(wn, w_norm, g_w, axis=0)
+            accumulate(z, g_z)
+            accumulate(w, g_w)
+        accumulate(head.bias, g.sum(axis=0))
+
+    return (Tensor._op(logits + head.bias.data, (*parents, head.bias),
+                       backward), contributions)
 
 
 def classify(fused, params):

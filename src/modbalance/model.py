@@ -87,7 +87,7 @@ class ForwardPass:
 
     afw_state: object  # feature_weighting.AfwState, or None when disabled
     fused: Tensor  # (N, |E|) fused logits
-    contributions: dict  # modality -> (N, |E|) bias-free fusion terms
+    contributions: dict  # modality -> (N, |E|) array: its bias-free term
     outputs: Tensor  # (N, |E|) classifier logits
 
     def predictions(self):
@@ -95,7 +95,7 @@ class ForwardPass:
 
     def score_logits(self, m, bias):
         """Unimodal logits for the balance score: contribution + bias / M."""
-        return self.contributions[m].data + bias / len(self.contributions)
+        return self.contributions[m] + bias / len(self.contributions)
 
 
 class Model:

@@ -28,8 +28,8 @@ the backward reaches it, so the hot layers are single fused nodes with a
 hand-written backward. Here: ``linear``; ``feed_forward`` (linear, ReLU,
 linear, keeping only the rectified hidden rows); and ``layer_norm_rows``,
 which can take the residual add before it. Self-attention, the
-tensor-ring steps, cosine fusion and cross-entropy are fused in the
-modules that own them. The ``Tensor`` methods glue those nodes together.
+tensor-ring steps, cosine fusion, cross-entropy and the total loss are
+fused in the modules that own them; ``Tensor`` itself has no arithmetic.
 """
 
 import itertools
@@ -57,15 +57,10 @@ class no_grad:
         return False
 
 
-def _as_tensor(value):
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)
-
-
 def accumulate(t, g):
-    """Add gradient ``g`` into ``t.grad``; a backward function's only way to
-    pass a gradient on."""
+    """Add gradient ``g`` into ``t.grad``, if ``t`` requires gradients: how
+    a backward function passes a gradient to a parent (the rows of
+    ``Segments.grads`` are written by ``accumulate_params`` instead)."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -73,19 +68,6 @@ def accumulate(t, g):
         t.grad = np.array(g, dtype=np.float64)
     else:
         t.grad += g
-
-
-def _unbroadcast(g, shape):
-    """Sum gradient ``g`` over axes that were broadcast up from ``shape``."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
 
 
 class Segments:
@@ -236,50 +218,6 @@ class Tensor:
             node.grad = node._backward_fn = None
             node._parents = ()
 
-    # --- arithmetic (broadcasting, numpy rules) ---
-
-    def __add__(self, other):
-        other = _as_tensor(other)
-
-        def backward(g):
-            accumulate(self, _unbroadcast(g, self.data.shape))
-            accumulate(other, _unbroadcast(g, other.data.shape))
-
-        return Tensor._op(self.data + other.data, (self, other), backward)
-
-    def __mul__(self, other):
-        other = _as_tensor(other)
-
-        def backward(g):
-            accumulate(self, _unbroadcast(g * other.data, self.data.shape))
-            accumulate(other, _unbroadcast(g * self.data, other.data.shape))
-
-        return Tensor._op(self.data * other.data, (self, other), backward)
-
-    def __matmul__(self, other):
-        other = _as_tensor(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ShapeError(
-                f"matmul expects 2-d operands, got {self.shape} @ {other.shape}")
-        if self.data.shape[1] != other.data.shape[0]:
-            raise ShapeError(
-                f"matmul inner dims differ: {self.shape} @ {other.shape}")
-
-        def backward(g):
-            accumulate(self, g @ other.data.T)
-            accumulate(other, self.data.T @ g)
-
-        return Tensor._op(self.data @ other.data, (self, other), backward)
-
-    # --- reductions ---
-
-    def sum(self):
-        """The sum of every entry, a 0-d tensor."""
-        def backward(g):
-            accumulate(self, np.broadcast_to(g, self.data.shape))
-
-        return Tensor._op(self.data.sum(), (self,), backward)
-
 
 class Parameters:
     """Maker of a model's parameter blocks, in one fixed order.
@@ -327,7 +265,6 @@ def softmax_vjp(y, g, axis=-1):
 def linear(x, w, b, segments=None):
     """Affine map ``x @ w + b`` of the rows of ``x``, as one graph node;
     ``segments`` may ask for per-conversation gradients of ``w`` and ``b``."""
-    x = _as_tensor(x)
 
     def backward(g):
         if x.requires_grad:
@@ -347,7 +284,6 @@ def feed_forward(x, w1, b1, w2, b2, segments=None):
     entry, so values and gradients are bit for bit those of ``linear``,
     ReLU and ``linear`` as three nodes.
     """
-    x = _as_tensor(x)
     h = x.data @ w1.data + b1.data
     np.maximum(h, 0.0, out=h)
 
@@ -367,17 +303,13 @@ def layer_norm_rows(x, gamma, beta, eps=1e-6, segments=None, residual=None):
     is given) to zero mean / unit variance, then rescale.
 
     Fused forward and backward: the residual add is part of the node, and
-    its input gradient goes to ``x`` and then to ``residual``, as an add
-    node would pass it. eps bounds the 1/std factor when a row degenerates
+    its input gradient (the gradient at the sum) goes to ``x`` and then to
+    ``residual``. eps bounds the 1/std factor when a row degenerates
     to a constant, while staying small enough that ordinary rows
     standardize to unit variance well inside 1e-6. ``segments`` may ask
     for per-conversation gradients of ``gamma`` and ``beta``.
     """
-    x = _as_tensor(x)
-    gamma = _as_tensor(gamma)
-    beta = _as_tensor(beta)
     inputs = (x,) if residual is None else (x, residual)
-    # the sum Tensor.__add__ computes
     rows = x.data if residual is None else x.data + residual.data
     # sum / width is what ndarray.mean computes, without its Python overhead
     width = rows.shape[1]

@@ -251,7 +251,7 @@ def _pack_losses(model, pack, segments, active, step):
         raise DivergenceError(
             f"step {step}, conversation {pack[j].id}: {TERMS[t]} loss is "
             f"not finite: {values[t, j]}")
-    total = main_loss(cls_term, feature_term, modal_term).sum()
+    total = main_loss(cls_term, feature_term, modal_term)
     return out, labels, values, total
 
 

@@ -1,6 +1,26 @@
-"""Shared test utilities: central finite-difference gradient checking."""
+"""Shared test utilities: central finite-difference gradient checking and
+a scalar projection of op outputs to check them through."""
 
 import numpy as np
+
+from modbalance.tensor import Tensor, accumulate
+
+
+def project(*terms):
+    """The scalar node ``sum_t sum(t * w)`` over ``terms``, each a Tensor
+    (``w`` all ones) or a ``(Tensor, w)`` pair with ``w`` an array that
+    broadcasts to it. Its backward sends ``w`` times the incoming gradient,
+    at the tensor's shape, to each tensor; one that appears twice gets both
+    gradients."""
+    pairs = [(t, np.ones(t.shape)) if isinstance(t, Tensor)
+             else (t[0], np.asarray(t[1], dtype=np.float64)) for t in terms]
+
+    def backward(g):
+        for t, w in pairs:
+            accumulate(t, np.broadcast_to(g * w, t.shape))
+
+    value = sum((t.data * w).sum() for t, w in pairs)
+    return Tensor._op(value, tuple(t for t, _ in pairs), backward)
 
 
 def numeric_grad(f, param, h=1e-5):

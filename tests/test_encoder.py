@@ -21,7 +21,7 @@ from modbalance.tensor import (
     softmax_vjp,
 )
 
-from conftest import assert_grad_matches
+from conftest import assert_grad_matches, project
 
 
 def tiny_config(**overrides):
@@ -205,11 +205,11 @@ def test_encoder_gradients_match_finite_differences():
     params = EncoderParams(3, tiny_config(), new, "enc")
     rng = np.random.default_rng(11)
     x = rng.standard_normal((3, 3))
-    r = Tensor(rng.standard_normal((3, 8)))
+    r = rng.standard_normal((3, 8))
     leaves = list(new.blocks.values())
 
     assert_grad_matches(
-        lambda: (encode(x, params, Segments([3])) * r).sum(), leaves)
+        lambda: project((encode(x, params, Segments([3])), r)), leaves)
 
 
 def attention_oracle(x, block, heads):
@@ -245,11 +245,11 @@ def test_self_attention_gradients_match_finite_differences(n):
     block = params.blocks[0]
     rng = np.random.default_rng(16 + n)
     x = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
-    r = Tensor(rng.standard_normal((n, 8)))
+    r = rng.standard_normal((n, 8))
     leaves = [x] + [block[k] for k in ("wq", "wk", "wv", "wo", "bo")]
     segments = Segments([n])
     assert_grad_matches(
-        lambda: (encoder._self_attention(x, block, 2, segments) * r).sum(),
+        lambda: project((encoder._self_attention(x, block, 2, segments), r)),
         leaves)
 
 
@@ -312,11 +312,11 @@ def run_attention(attention, lengths, rows):
     block["bo"].data[:] = np.random.default_rng(22).standard_normal(24)
     rng = np.random.default_rng(23)
     x = Tensor(rng.standard_normal((sum(lengths), 24)), requires_grad=True)
-    r = Tensor(rng.standard_normal((sum(lengths), 24)))
+    r = rng.standard_normal((sum(lengths), 24))
     grads = ({block[k]: np.full((len(lengths),) + block[k].shape, np.nan)
               for k in ATTENTION_PARAMS} if rows else None)
     out = attention(x, block, 4, Segments(lengths, grads))
-    (out * r).sum().backward()
+    project((out, r)).backward()
     found = [x.grad] + [grads[block[k]] if rows else block[k].grad
                         for k in ATTENTION_PARAMS]
     return out.data, found

@@ -15,7 +15,7 @@ from modbalance.feature_weighting import (
 )
 from modbalance.tensor import Parameters, Segments, Tensor
 
-from conftest import assert_grad_matches
+from conftest import assert_grad_matches, project
 
 
 def make_z(rng, n=3, hidden=4):
@@ -164,7 +164,7 @@ def test_cross_modal_coupling_has_nonzero_gradient():
     pooled = _random_pooled(rng)
     pooled["a"] = Tensor(pooled["a"].data, requires_grad=True)
     out_map = Tensor(rng.standard_normal((4, 5)))
-    loss = feature_attention(theta, pooled, out_map, Segments([3])).sum()
+    loss = project(feature_attention(theta, pooled, out_map, Segments([3])))
     loss.backward()
     assert np.abs(pooled["a"].grad).max() > 0.0
 
@@ -176,11 +176,11 @@ def test_feature_attention_gradients(active):
     pooled = {m: Tensor(rng.random((1, 2, 2)), requires_grad=True)
               for m in active}
     out_map = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-    r = Tensor(rng.standard_normal((3, 5)))
+    r = rng.standard_normal((3, 5))
     segments = Segments([3])
     assert_grad_matches(
-        lambda: (feature_attention(theta, pooled, out_map, segments, active)
-                 * r).sum(),
+        lambda: project((feature_attention(theta, pooled, out_map, segments,
+                                           active), r)),
         [theta, out_map, *pooled.values()])
 
 
@@ -190,14 +190,14 @@ def test_coefficient_pool_and_gate_gradients():
     k = Tensor(rng.standard_normal((3, 2, 2)), requires_grad=True)
     att = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     z = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    r = Tensor(rng.standard_normal((3, 2, 2)))
-    s = Tensor(rng.standard_normal((2, 2)))
-    g = Tensor(rng.standard_normal((3, 4)))
+    r = rng.standard_normal((3, 2, 2))
+    s = rng.standard_normal((2, 2))
+    g = rng.standard_normal((3, 4))
     assert_grad_matches(
-        lambda: (attention_coefficients(q, k) * r).sum()
-        + (pool_attention(attention_coefficients(q, k), Segments([3]))
-           * s).sum()
-        + (fuse_features(att, z, beta=0.3) * g).sum(),
+        lambda: project(
+            (attention_coefficients(q, k), r),
+            (pool_attention(attention_coefficients(q, k), Segments([3])), s),
+            (fuse_features(att, z, beta=0.3), g)),
         [q, k, att, z])
 
 
@@ -251,7 +251,7 @@ def test_map_attention_gradients():
     params = FeatureWeightParams(3, 2, Parameters(rng), "afw")
     z = make_z(rng, n=2, hidden=3)
     leaves = [params.map_w1, params.map_b1, params.map_w2, params.map_b2]
-    assert_grad_matches(lambda: map_attention(z, params).sum(), leaves)
+    assert_grad_matches(lambda: project(map_attention(z, params)), leaves)
 
 
 # --- whole pass ---
@@ -265,11 +265,7 @@ def test_forward_is_differentiable_end_to_end():
 
     def build():
         state = forward(z, params, beta=0.5, segments=Segments([2]))
-        total = None
-        for m in ("t", "a", "v"):
-            term = (state.balanced[m] + state.mapped[m]).sum()
-            total = term if total is None else total + term
-        return total
+        return project(*state.balanced.values(), *state.mapped.values())
 
     leaves = [z[m] for m in ("t", "a", "v")] + list(new.blocks.values())
     assert_grad_matches(build, leaves)
@@ -282,16 +278,13 @@ def test_forward_on_a_subset_is_differentiable(active):
     params = {m: FeatureWeightParams(3, 2, new, m) for m in ("t", "a", "v")}
     z = {m: Tensor(rng.standard_normal((3, 3)), requires_grad=True)
          for m in active}
-    r = {m: Tensor(rng.standard_normal((3, 3))) for m in active}
+    r = {m: rng.standard_normal((3, 3)) for m in active}
 
     def build():
         state = forward(z, params, beta=0.5,
                         segments=Segments([3]), active=active)
-        total = Tensor(0.0)
-        for m in active:
-            term = (state.balanced[m] + state.mapped[m]) * r[m]
-            total = total + term.sum()
-        return total
+        return project(*((state.balanced[m], r[m]) for m in active),
+                       *((state.mapped[m], r[m]) for m in active))
 
     leaves = list(z.values())
     leaves += [p for name, p in new.blocks.items()

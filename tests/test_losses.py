@@ -14,7 +14,7 @@ from modbalance.losses import (
     modal_loss,
 )
 from modbalance.model import Model, ModelConfig
-from modbalance.tensor import Tensor
+from modbalance.tensor import Tensor, linear
 
 from conftest import assert_grad_matches
 
@@ -150,11 +150,29 @@ def test_main_loss_gradient_is_sum_of_term_gradients():
     att = {"t": x}
     mapped = {"t": Tensor(rng.standard_normal((2, 3)))}
 
+    w = Tensor(rng.standard_normal((3, 3)))
+    b = Tensor(rng.standard_normal(3))
+
     def build():
         return main_loss(cls_loss(x, labels), feature_loss(att, mapped),
-                         modal_loss(x * 0.5, labels))
+                         modal_loss(linear(x, w, b), labels))
 
     assert_grad_matches(build, [x])
+
+
+@pytest.mark.parametrize("shape", [(), (4,)], ids=["0-d", "per-conversation"])
+def test_main_loss_is_one_scalar_node_over_its_terms(shape):
+    rng = np.random.default_rng(9)
+    terms = [Tensor(rng.standard_normal(shape), requires_grad=True)
+             for _ in range(3)]
+    total = main_loss(*terms)
+    assert total.shape == ()
+    assert total.item() == (terms[0].data + terms[1].data
+                            + terms[2].data).sum()
+    assert total._parents == tuple(terms)
+    assert_grad_matches(lambda: main_loss(*terms), terms)
+    for term in terms:
+        assert np.array_equal(term.grad, np.ones(shape))
 
 
 def _sampled_grad_check(model, conv_features, labels, active, entries=2,

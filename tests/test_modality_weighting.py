@@ -3,18 +3,19 @@
 import logging
 
 import numpy as np
+import pytest
 
 from modbalance.modality_weighting import (
-    NORM_FLOOR,
     ClassifierParams,
     FusionHead,
     classify,
     fuse_modalities,
     weight_norm_trace,
 )
-from modbalance.tensor import Parameters, Tensor
+from modbalance.losses import modal_loss
+from modbalance.tensor import Parameters, Segments, Tensor
 
-from conftest import assert_grad_matches
+from conftest import assert_grad_matches, project
 
 MODS = ("t", "a", "v")
 
@@ -41,7 +42,7 @@ def test_perfect_alignment_gives_three_plus_bias():
     assert abs(logits.data[0, 0] - (3.0 + 0.25)) < 1e-12
     assert abs(logits.data[0, 1] - (0.0 - 0.5)) < 1e-12
     for m in MODS:
-        assert abs(contribs[m].data[0, 0] - 1.0) < 1e-12
+        assert abs(contribs[m][0, 0] - 1.0) < 1e-12
 
 
 def test_positive_rescaling_leaves_logits_unchanged():
@@ -69,7 +70,7 @@ def test_fusion_matches_cosine_oracle():
                 z = features[m].data[i]
                 w = head.weights[m].data[:, k]
                 cos = z @ w / (np.linalg.norm(z) * np.linalg.norm(w))
-                assert abs(contribs[m].data[i, k] - cos) < 1e-12
+                assert abs(contribs[m][i, k] - cos) < 1e-12
                 expected += cos
             assert abs(logits.data[i, k] - expected) < 1e-12
 
@@ -80,7 +81,7 @@ def test_contributions_bounded_by_one():
     features = {m: Tensor(rng.standard_normal((8, 4)) * 50.0) for m in MODS}
     logits, contribs = fuse_modalities(features, head)
     for m in MODS:
-        assert np.abs(contribs[m].data).max() <= 1.0 + 1e-12
+        assert np.abs(contribs[m]).max() <= 1.0 + 1e-12
     spread = logits.data - head.bias.data
     assert np.abs(spread).max() <= 3.0 + 1e-12
 
@@ -96,12 +97,12 @@ def test_huge_rows_and_columns_keep_their_cosines():
     features = {m: Tensor(rows.copy(), requires_grad=True) for m in MODS}
     logits, contribs = fuse_modalities(features, head)
     root5 = np.sqrt(5.0)
-    assert np.abs(contribs["t"].data[0] - [1 / root5, 2 / root5]).max() \
+    assert np.abs(contribs["t"][0] - [1 / root5, 2 / root5]).max() \
         < 1e-15
-    assert np.abs(contribs["v"].data[0] - [1 / root5, 1.2 / root5]).max() \
+    assert np.abs(contribs["v"][0] - [1 / root5, 1.2 / root5]).max() \
         < 1e-15
-    assert np.array_equal(contribs["t"].data[1], rows[1, :2] / np.sqrt(14.0))
-    logits.sum().backward()
+    assert np.array_equal(contribs["t"][1], rows[1, :2] / np.sqrt(14.0))
+    project(logits).backward()
     assert all(np.isfinite(features[m].grad).all() for m in MODS)
 
 
@@ -115,14 +116,13 @@ def test_zero_norm_row_floors_and_warns(caplog):
         logits, _ = fuse_modalities(features, head)
     assert "zero-norm" in caplog.text
     assert np.isfinite(logits.data).all()
-    weights = rng.standard_normal(logits.shape)
-    (logits * Tensor(weights)).sum().backward()
-    assert np.isfinite(features["a"].grad).all()
-    # the floored row is divided by a constant: its gradient is g_zn / floor
-    w = head.weights["a"].data
-    g_zn = weights[2] @ (w / np.linalg.norm(w, axis=0)).T
-    assert np.abs(features["a"].grad[2] - g_zn / NORM_FLOOR).max() \
-        <= 1e-12 * np.abs(g_zn / NORM_FLOOR).max()
+    project((logits, rng.standard_normal(logits.shape))).backward()
+    # the floored row counts as missing: it gets no gradient, not
+    # g / NORM_FLOOR; the other rows get theirs
+    grad = features["a"].grad
+    assert np.array_equal(grad[2], np.zeros(4))
+    assert np.isfinite(grad).all() and (np.abs(grad[[0, 1, 3, 4]]) > 0).all()
+    assert np.abs(grad).max() < 10.0
 
 
 def test_fusion_gradients_with_floored_rows_match_finite_differences():
@@ -132,13 +132,13 @@ def test_fusion_gradients_with_floored_rows_match_finite_differences():
     features = {m: Tensor(rng.standard_normal((3, 3)), requires_grad=True)
                 for m in MODS}
     features["a"].data[1, :] = 0.0  # a floored feature row
-    r = Tensor(rng.standard_normal((3, 2)))
+    r = rng.standard_normal((3, 2))
     # every leaf but the two floored vectors, which finite differences
     # would lift off the floor
     leaves = [features["t"], features["v"], head.weights["t"],
               head.weights["a"], head.bias]
     assert_grad_matches(
-        lambda: (fuse_modalities(features, head)[0] * r).sum(), leaves)
+        lambda: project((fuse_modalities(features, head)[0], r)), leaves)
 
 
 def test_unnormalized_variant_is_plain_linear():
@@ -158,8 +158,8 @@ def test_subset_fusion_drops_excluded_terms():
     features = random_features(rng)
     logits, contribs = fuse_modalities(features, head, active=("t", "v"))
     assert set(contribs) == {"t", "v"}
-    expected = contribs["t"].data + contribs["v"].data + head.bias.data
-    assert np.abs(logits.data - expected).max() < 1e-12
+    expected = contribs["t"] + contribs["v"] + head.bias.data
+    assert np.array_equal(logits.data, expected)
 
 
 def test_fusion_gradients_match_finite_differences():
@@ -169,7 +169,82 @@ def test_fusion_gradients_match_finite_differences():
                 for m in MODS}
     leaves = [*features.values(), *head.weights.values(), head.bias]
     assert_grad_matches(
-        lambda: fuse_modalities(features, head)[0].sum(), leaves)
+        lambda: project(fuse_modalities(features, head)[0]), leaves)
+
+
+def test_unnormalized_fusion_gradients_match_finite_differences():
+    rng = np.random.default_rng(18)
+    head = make_head(hidden=3, num_classes=2)
+    head.bias.data[:] = rng.standard_normal(2)
+    features = {m: Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+                for m in MODS}
+    r = rng.standard_normal((4, 2))
+    leaves = [*features.values(), *head.weights.values(), head.bias]
+    assert_grad_matches(
+        lambda: project((fuse_modalities(features, head,
+                                         normalized=False)[0], r)), leaves)
+
+
+@pytest.mark.parametrize("normalized", [True, False],
+                         ids=["cosine", "plain"])
+def test_subset_fusion_over_a_pack_matches_finite_differences(normalized):
+    # fusion is row-wise, so a pack of three conversations is its rows;
+    # the modal loss weighs each conversation's rows by its own length
+    rng = np.random.default_rng(19)
+    head = make_head(hidden=3, num_classes=3)
+    segments = Segments([2, 4, 1])
+    features = {m: Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+                for m in ("t", "v")}
+    labels = rng.integers(0, 3, size=7)
+    w = rng.standard_normal(3)
+    leaves = [*features.values(), head.weights["t"], head.weights["v"],
+              head.bias]
+
+    def build():
+        fused, _ = fuse_modalities(features, head, active=("t", "v"),
+                                   normalized=normalized)
+        return project((modal_loss(fused, labels, segments), w))
+
+    assert_grad_matches(build, leaves)
+    assert head.weights["a"].grad is None
+
+
+@pytest.mark.parametrize("normalized", [True, False],
+                         ids=["cosine", "plain"])
+def test_fusion_node_matches_numpy_bit_for_bit(normalized):
+    # one node: its value is the terms summed in active order plus the
+    # bias, and each gradient the plain numpy expression
+    rng = np.random.default_rng(20)
+    head = make_head(hidden=5, num_classes=4, seed=21)
+    head.bias.data[:] = rng.standard_normal(4)
+    features = {m: Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+                for m in MODS}
+    g = rng.standard_normal((6, 4))
+    logits, contribs = fuse_modalities(features, head, normalized=normalized)
+    assert len(logits._parents) == 7
+    project((logits, g)).backward()
+
+    def unit(x, axis):
+        norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+        return (x / norm, norm) if normalized else (x, None)
+
+    def unit_vjp(u, norm, g_u, axis):
+        if not normalized:
+            return g_u
+        return (g_u - u * (g_u * u).sum(axis=axis, keepdims=True)) / norm
+
+    expected = None
+    for m in MODS:
+        zn, z_norm = unit(features[m].data, axis=1)
+        wn, w_norm = unit(head.weights[m].data, axis=0)
+        assert np.array_equal(contribs[m], zn @ wn)
+        expected = zn @ wn if expected is None else expected + zn @ wn
+        assert np.array_equal(features[m].grad,
+                              unit_vjp(zn, z_norm, g @ wn.T, axis=1))
+        assert np.array_equal(head.weights[m].grad,
+                              unit_vjp(wn, w_norm, zn.T @ g, axis=0))
+    assert np.array_equal(logits.data, expected + head.bias.data)
+    assert np.array_equal(head.bias.grad, g.sum(axis=0))
 
 
 # --- classifier ---
@@ -205,7 +280,7 @@ def test_classifier_gradients():
     fused = Tensor(np.random.default_rng(12).standard_normal((2, 3)),
                    requires_grad=True)
     leaves = [fused, params.w1, params.b1, params.w2, params.b2]
-    assert_grad_matches(lambda: classify(fused, params).sum(), leaves)
+    assert_grad_matches(lambda: project(classify(fused, params)), leaves)
 
 
 # --- weight-norm diagnostics ---

@@ -19,7 +19,7 @@ from modbalance.tensor import (Parameters, Segments, Tensor, feed_forward,
                                layer_norm_rows)
 from modbalance.training import backward_batch, packs
 
-from conftest import assert_grad_matches, numeric_grad
+from conftest import assert_grad_matches, numeric_grad, project
 
 DIMS = {"t": 6, "a": 5, "v": 4}
 LENGTHS = (3, 5, 2)  # a pack of three conversations for the op checks
@@ -204,9 +204,9 @@ def test_packed_attention_gradients():
     block = attention_block(rng)
     x, segments = pack_rows(rng, (8,))
     x = Tensor(x, requires_grad=True)
-    r = Tensor(rng.standard_normal(x.shape))
+    r = rng.standard_normal(x.shape)
     assert_grad_matches(
-        lambda: (_self_attention(x, block, 2, segments) * r).sum(),
+        lambda: project((_self_attention(x, block, 2, segments), r)),
         [x, *block.values()])
 
 
@@ -242,8 +242,8 @@ def test_packed_feed_forward_gradient_rows():
 
     def loss_of(rows, segments):
         xs = x if rows == slice(None) else Tensor(x.data[rows])
-        return (feed_forward(xs, *params, segments=segments)
-                * Tensor(r[rows])).sum()
+        return project((feed_forward(xs, *params, segments=segments),
+                        r[rows]))
 
     assert_rows_are_each_conversations_gradient(loss_of, params, [x])
 
@@ -260,8 +260,8 @@ def test_packed_layer_norm_residual_gradient_rows():
     def loss_of(rows, segments):
         xs, res = ((x, residual) if rows == slice(None) else
                    (Tensor(x.data[rows]), Tensor(residual.data[rows])))
-        return (layer_norm_rows(xs, gamma, beta, segments=segments,
-                                residual=res) * Tensor(r[rows])).sum()
+        return project((layer_norm_rows(xs, gamma, beta, segments=segments,
+                                        residual=res), r[rows]))
 
     assert_rows_are_each_conversations_gradient(loss_of, [gamma, beta],
                                                  [x, residual])
@@ -290,12 +290,12 @@ def test_packed_pooling_and_contraction_gradients():
     coefficients = Tensor(coefficients, requires_grad=True)
     other = Tensor(rng.random((3, 2, 2)), requires_grad=True)
     out_map = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-    r = Tensor(rng.standard_normal((sum(LENGTHS), 5)))
+    r = rng.standard_normal((sum(LENGTHS), 5))
 
     def build():
         pooled = {"t": pool_attention(coefficients, segments), "a": other}
-        return (feature_attention(coefficients, pooled, out_map, segments,
-                                  ("t", "a")) * r).sum()
+        return project((feature_attention(coefficients, pooled, out_map,
+                                          segments, ("t", "a")), r))
 
     assert_grad_matches(build, [coefficients, other, out_map])
 
@@ -320,16 +320,18 @@ def test_packed_loss_gradients():
     logits, segments = pack_rows(rng, (3,))
     logits = Tensor(logits, requires_grad=True)
     labels = rng.integers(0, 3, size=logits.shape[0])
+    fused = Tensor(rng.standard_normal(logits.shape), requires_grad=True)
     att = {m: Tensor(rng.standard_normal((logits.shape[0], 4)),
                      requires_grad=True) for m in ("t", "a")}
     hat = {m: Tensor(rng.standard_normal((logits.shape[0], 4)),
                      requires_grad=True) for m in ("t", "a")}
-    w = Tensor(rng.standard_normal(len(segments)))
+    w = rng.standard_normal(len(segments))
 
     def build():
-        return (main_loss(cls_loss(logits, labels, segments),
-                          feature_loss(att, hat, segments),
-                          modal_loss(logits * 0.5, labels, segments))
-                * w).sum()
+        terms = (cls_loss(logits, labels, segments),
+                 feature_loss(att, hat, segments),
+                 modal_loss(fused, labels, segments))
+        return project(*((term, w) for term in terms))
 
-    assert_grad_matches(build, [logits, *att.values(), *hat.values()])
+    assert_grad_matches(build,
+                        [logits, fused, *att.values(), *hat.values()])

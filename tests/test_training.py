@@ -589,8 +589,9 @@ def test_backward_releases_the_graph():
             stack.extend(node._parents)
     # per modality 5 encoder nodes (input projection; attention, two
     # residual norms and the feed-forward of its one layer) and 7 AFW
-    # nodes; then fusion 6, the classifier 1 and the losses 5
-    assert len(nodes) == 48
+    # nodes; then fusion 1, the classifier 1 and the losses 4 (three terms
+    # and their total)
+    assert len(nodes) == 42
     model.zero_grad()
     loss.backward()
     for node in nodes.values():
@@ -615,6 +616,26 @@ def test_divergence_names_step_conversation_and_term():
     assert str(info.value) == (f"step 3, conversation {bad.id}: cls loss is "
                                "not finite: nan")
     assert len(traces) == 2
+
+
+@pytest.mark.parametrize("every", [1, 2], ids=["everywhere", "every-second"])
+def test_a_zero_modality_trains_with_cosine_fusion(every):
+    # a missing modality filled with zeros: its feature rows sit at the
+    # cosine floor, which must pass them no gradient (1 / NORM_FLOOR would
+    # overflow within a step) and leave the run bounded
+    spec = SynthSpec(conversations=30, utterances=(3, 8), seed=1,
+                     gamma={"t": 1.0, "a": 0.5, "v": 0.4}, noise_sigma=0.2)
+    data = generate(spec)
+    convs = [replace(c, features={**c.features,
+                                  "v": np.zeros_like(c.features["v"])})
+             if i % every == 0 else c
+             for i, c in enumerate(data.conversations)]
+    model = Model(ModelConfig(), data.num_classes, data.dims, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        train(model, convs, OptimizerConfig(learning_rate=0.1, epochs=5,
+                                            seed=0))
+    assert np.abs(model.theta).max() < 2.0
 
 
 def plant_after_backward(monkeypatch, step, index, row, value):
