@@ -6,9 +6,10 @@ the order of the seeded draws, of the registry and of the checkpoint
 layout. They are held in that order in one flat float64 vector ``theta``;
 their gradients fill a second vector ``grad``. Each block's ``data`` and ``grad`` are views of its slice, and
 ``layout`` lists each block's name, shape and byte offset in ``theta``.
-A checkpoint is ``theta`` under a header whose tensor list is ``layout``;
-``load`` refuses a file whose list differs from the layout its metadata
-gives, naming the first entry that differs. Each
+A checkpoint is ``theta`` under a header whose tensor list is ``layout``
+and whose metadata holds ``ModelConfig``'s fields; ``load`` refuses any
+other option, and a list that differs from the layout its metadata gives,
+naming the first entry that differs. Each
 modality's encoder blocks form one slice (``encoder_spans``) because the
 balance optimizer treats them differently from everything else (they alone
 receive modulated, optionally noisy updates). The forward pass works for
@@ -20,7 +21,7 @@ pack of conversations stacked row-wise and described by a
 write each conversation's encoder gradient into a row of one matrix.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import zip_longest
 
 import numpy as np
@@ -38,11 +39,6 @@ from .modality_weighting import (
     fuse_modalities,
 )
 from .tensor import Parameters, Segments, Tensor
-
-# Options removed from ModelConfig, at the only values a checkpoint may hold.
-# Checkpoints still record them, so the file format does not change.
-RETIRED_OPTIONS = {"positional": False, "feature_stop_grad": "",
-                   "dropout": 0.0, "d_k": 0.0, "classifier_hidden": 0}
 
 
 @dataclass(frozen=True)
@@ -71,9 +67,6 @@ class ModelConfig:
         if self.hidden % self.heads != 0:
             raise ConfigError(
                 f"hidden size {self.hidden} not divisible by {self.heads} heads")
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, payload):
@@ -234,7 +227,7 @@ class Model:
 
     def save(self, path):
         save_checkpoint(path, self.theta, self.layout, {
-            "model": {**self.config.to_dict(), **RETIRED_OPTIONS},
+            "model": asdict(self.config),
             "num_classes": self.num_classes,
             "dims": self.dims,
         })
@@ -243,12 +236,7 @@ class Model:
     def load(cls, path):
         meta, tensors, values = load_checkpoint(path)
         try:
-            options = dict(meta["model"])
-            for name, inert in RETIRED_OPTIONS.items():
-                if options.pop(name, inert) != inert:
-                    raise CheckpointError(
-                        f"{path}: sets the removed model option {name!r}")
-            config = ModelConfig.from_dict(options)
+            config = ModelConfig.from_dict(meta["model"])
             num_classes, dims = meta["num_classes"], meta["dims"]
             check_value(num_classes, int, "num_classes")
             check_keys(dims, MODALITIES, "dims modalities")

@@ -298,16 +298,22 @@ def feed_forward(x, w1, b1, w2, b2, segments=None):
     return Tensor._op(h @ w2.data + b2.data, (x, w1, b1, w2, b2), backward)
 
 
-def layer_norm_rows(x, gamma, beta, eps=1e-6, segments=None, residual=None):
+LN_EPS = 1e-6  # layer norm's variance offset and floor (layer_norm_rows)
+
+
+def layer_norm_rows(x, gamma, beta, segments=None, residual=None):
     """Standardize each row of ``x`` (of ``x + residual`` when a residual
     is given) to zero mean / unit variance, then rescale.
 
     Fused forward and backward: the residual add is part of the node, and
     its input gradient (the gradient at the sum) goes to ``x`` and then to
-    ``residual``. eps bounds the 1/std factor when a row degenerates
-    to a constant, while staying small enough that ordinary rows
-    standardize to unit variance well inside 1e-6. ``segments`` may ask
-    for per-conversation gradients of ``gamma`` and ``beta``.
+    ``residual``. ``LN_EPS``, added to the variance, bounds the 1/std
+    factor while staying small enough that ordinary rows standardize to
+    unit variance well inside 1e-6. A row whose variance is at or below it
+    (a constant row, as a zero-filled modality gives) gets a zero input
+    gradient, which its 1/std of up to 1000 would otherwise amplify.
+    ``segments`` may ask for per-conversation gradients of ``gamma`` and
+    ``beta``.
     """
     inputs = (x,) if residual is None else (x, residual)
     rows = x.data if residual is None else x.data + residual.data
@@ -316,7 +322,7 @@ def layer_norm_rows(x, gamma, beta, eps=1e-6, segments=None, residual=None):
     mu = rows.sum(axis=1, keepdims=True) / width
     centered = rows - mu
     var = (centered * centered).sum(axis=1, keepdims=True) / width
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
     standardized = centered * inv_std
 
     def backward(g):
@@ -329,6 +335,7 @@ def layer_norm_rows(x, gamma, beta, eps=1e-6, segments=None, residual=None):
             gg_mean = gg.sum(axis=1, keepdims=True) / width
             proj = (gg * standardized).sum(axis=1, keepdims=True) / width
             g_rows = inv_std * (gg - gg_mean - standardized * proj)
+            g_rows *= var > LN_EPS
             for t in inputs:
                 accumulate(t, g_rows)
 

@@ -23,9 +23,9 @@ is written once per step, so it is never zeroed; only the columns of
 inactive modalities, which no node writes, are set to zero.
 
 So a step is: ``backward_batch`` (every pack's forward and backward, then
-the sum of any rows into ``model.grad``), ``checked_noise_std`` (a
-DivergenceError on a non-finite gradient, else each modality's noise
-scale, taken in place on its columns of the rows, which are scratch
+the sum of any rows into ``model.grad``), ``_noise_std`` (a
+DivergenceError on a non-finite gradient, else each active modality's
+noise scale, taken in place on its columns of the rows, which are scratch
 afterwards), then ``apply_update``, the step. The step's standard normals
 depend on nothing it computes, so when noise is drawn ``train`` hands
 ``draw_normals`` to a worker thread (one per call, joined before it
@@ -191,8 +191,7 @@ def apply_update(model, grads, eta, k=None, noise_std=None, normals=None):
     parameter of the span (``train`` draws them on a worker thread during
     the step's backward), and the noise is their product. All else takes
     plain SGD steps. With k=1 and no noise this is bit-identical to
-    vanilla SGD. ``grads`` must be finite (``checked_noise_std`` checks
-    it).
+    vanilla SGD. ``grads`` must be finite (``_noise_std`` checks it).
     """
     step = eta * grads
     for m, k_m in (k or {}).items():
@@ -297,17 +296,25 @@ def backward_batch(model, batch, conv_grads=None, active=MODALITIES, step=0):
             np.concatenate(labels), np.hstack(terms))
 
 
-def checked_noise_std(model, batch, conv_grads, step, active):
-    """Check a step's gradients, then return its noise scale.
+def _noise_std(model, batch, conv_grads, active, step):
+    """Check a step's gradients, then return each active modality's
+    per-parameter noise scale, or None when ``conv_grads`` is None.
 
     ``conv_grads`` holds the batch's per-conversation encoder gradient
-    rows, which exist exactly when noise is drawn, or is None. A
-    non-finite entry of ``model.grad`` raises a DivergenceError naming the
-    step, the first such block and, when a row of ``conv_grads`` is
-    non-finite, the first such conversation of ``batch``. Without rows the
-    scale is None; otherwise it is ``_noise_std`` of each active
-    modality's columns of the batch's rows, which it overwrites: the rows
-    are scratch afterwards. ``model.grad`` is left as it is.
+    rows, which exist exactly when noise is drawn. A non-finite entry of
+    ``model.grad`` raises a DivergenceError naming the step, the first
+    such block and, when a row is non-finite, the first such conversation
+    of ``batch``. ``model.grad`` is left as it is.
+
+    The scale is the diagonal std of the minibatch mean gradient: each
+    parameter's sample std across the conversations over sqrt(B), the
+    sampling noise the SGD estimate already carries (zero for a batch of
+    one). It is taken in place on each span's columns of the rows, which
+    are scratch afterwards, in the steps of ``ndarray.std(ddof=1)``: the
+    mean is ``model.grad`` (the rows' sum in row order) over B, then
+    subtract, square, sum the rows, divide by B - 1 and take the square
+    root. So it is bit for bit ``rows[:, span].std(axis=0, ddof=1) /
+    sqrt(B)``, without its (B, P_m) temporary.
     """
     rows = None if conv_grads is None else conv_grads[:len(batch)]
     finite = np.isfinite(model.grad)
@@ -319,29 +326,7 @@ def checked_noise_std(model, batch, conv_grads, step, active):
                               f"{model.block_name(finite.argmin())}")
     if rows is None:
         return None
-    return _noise_std(rows, model.grad[:model.encoder_size],
-                      {m: model.encoder_spans[m] for m in active})
-
-
-def _noise_std(rows, sums, spans):
-    """Per-parameter noise scale for each modulated encoder span.
-
-    ``rows`` is the finite (B, encoder_size) matrix of per-conversation
-    encoder gradients, ``sums`` its column sums in row order (the encoder
-    part of the batch gradient) and ``spans`` maps modalities to their
-    columns. The scale is the diagonal std of the minibatch mean gradient,
-    i.e. the sample standard deviation of each parameter's gradient across
-    the conversations divided by sqrt(B); this matches the sampling noise
-    the SGD estimate already carries. A batch of one conversation gets
-    zero noise.
-
-    It works in place on each span's columns of ``rows``, which are
-    scratch afterwards, with the steps of ``ndarray.std(ddof=1)`` in its
-    order: the mean is ``sums / B``, then subtract, square, sum the rows,
-    divide by B - 1 and take the square root. So the scale is bit for bit
-    ``rows[:, span].std(axis=0, ddof=1) / sqrt(B)``, without its (B, P_m)
-    temporary.
-    """
+    spans = {m: model.encoder_spans[m] for m in active}
     b = len(rows)
     if b == 1:
         return {m: np.zeros(span.stop - span.start)
@@ -349,7 +334,7 @@ def _noise_std(rows, sums, spans):
     scale = {}
     for m, span in spans.items():
         centered = rows[:, span]
-        centered -= sums[span] / b
+        centered -= model.grad[span] / b
         np.square(centered, out=centered)
         std = centered.sum(axis=0)
         std /= b - 1
@@ -419,8 +404,7 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
                          if use_noise else None)
                 stacked, all_labels, terms = backward_batch(
                     model, batch, conv_grads, active, step)
-                noise_std = checked_noise_std(model, batch, conv_grads, step,
-                                              active)
+                noise_std = _noise_std(model, batch, conv_grads, active, step)
                 grads = model.grad / len(batch)
                 scores = {m: unimodal_score(stacked[m], all_labels)
                           for m in active}

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ DIMS = {"t": 6, "a": 5, "v": 4}
 
 
 def _model_meta(model, **options):
-    return {"model": {**model.config.to_dict(), **options},
+    return {"model": {**asdict(model.config), **options},
             "num_classes": model.num_classes, "dims": model.dims}
 
 
@@ -170,7 +171,7 @@ def test_model_save_load_round_trip(tmp_path):
     back = Model.load(path)
     assert back.num_classes == model.num_classes
     assert back.dims == model.dims
-    assert back.config.to_dict() == model.config.to_dict()
+    assert back.config == model.config
     original = model.named_parameters()
     restored = back.named_parameters()
     assert list(original) == list(restored)
@@ -210,16 +211,14 @@ def test_model_load_rejects_mismatched_names(tmp_path):
         Model.load(path)
 
 
-def test_model_loads_checkpoint_with_retired_options_at_old_defaults(tmp_path):
-    config = ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12)
+def test_model_checkpoint_header_holds_exactly_the_config_fields(tmp_path):
+    config = ModelConfig(hidden=8, rank=2, layers=1, heads=2, ffn=12,
+                         disable_amw=True)
     model = Model(config, num_classes=3, dims={"t": 6, "a": 5, "v": 4}, seed=5)
-    path = tmp_path / "old.bin"
-    _save_with_model_meta(path, model, positional=False, feature_stop_grad="",
-                          dropout=0.0, d_k=0.0, classifier_hidden=0)
-    back = Model.load(path)
-    assert back.config.to_dict() == config.to_dict()
-    model.save(tmp_path / "new.bin")
-    assert (tmp_path / "new.bin").read_bytes() == path.read_bytes()
+    path = tmp_path / "model.bin"
+    model.save(path)
+    meta, _, _ = load_checkpoint(path)
+    assert meta["model"] == asdict(config)
 
 
 @pytest.mark.parametrize("option, value", [

@@ -19,6 +19,7 @@ from modbalance.feature_weighting import (
 )
 from modbalance.losses import cls_loss
 from modbalance.tensor import (
+    LN_EPS,
     Segments,
     Tensor,
     accumulate,
@@ -30,7 +31,7 @@ from modbalance.tensor import (
     softmax_vjp,
 )
 
-from conftest import assert_grad_matches, project
+from conftest import assert_grad_matches, numeric_grad, project
 
 
 # --- Khatri-Rao (mode-1), as make_cores computes it ---
@@ -344,12 +345,33 @@ def test_layer_norm_rows_matches_composed_ops():
     x = rng.standard_normal((4, 5)) * 2.0 + 1.0
     gamma = rng.standard_normal(5)
     beta = rng.standard_normal(5)
-    eps = 1e-6
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
-    expected = (x - mu) / np.sqrt(var + eps) * gamma + beta
-    got = layer_norm_rows(Tensor(x), Tensor(gamma), Tensor(beta), eps=eps)
+    expected = (x - mu) / np.sqrt(var + LN_EPS) * gamma + beta
+    got = layer_norm_rows(Tensor(x), Tensor(gamma), Tensor(beta))
     assert np.abs(got.data - expected).max() < 1e-12
+
+
+def test_layer_norm_rows_passes_no_gradient_from_a_constant_row():
+    # a constant row (as a zero-filled modality gives) is at the variance
+    # floor: its input gradient is exactly zero, not 1/sqrt(LN_EPS) = 1000
+    # times the gradient; the other rows, gamma and beta keep theirs
+    rng = np.random.default_rng(34)
+    x = _leaf(rng, (3, 6))
+    x.data[1] = 0.7
+    gamma = Tensor(rng.standard_normal(6) + 1.5, requires_grad=True)
+    beta = _leaf(rng, (6,))
+    r = rng.standard_normal((3, 6))
+
+    def build():
+        return project((layer_norm_rows(x, gamma, beta), r))
+
+    build().backward()
+    assert x.grad[1].tolist() == [0.0] * 6
+    fd = numeric_grad(lambda: build().item(), x)
+    err = np.abs(x.grad - fd) / np.maximum(1.0, np.abs(fd))
+    assert err[[0, 2]].max() < 1e-4
+    assert_grad_matches(build, [gamma, beta])
 
 
 # --- graph lifetime ---

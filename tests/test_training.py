@@ -20,7 +20,6 @@ from modbalance.training import (
     OptimizerConfig,
     TRACE_HEADER,
     apply_update,
-    checked_noise_std,
     discrepancy_ratio,
     evaluate,
     modulation_coefficient,
@@ -184,7 +183,7 @@ def test_gradient_check_rejects_non_finite_gradient():
     conv_grads = np.zeros((len(batch), model.encoder_size))
     start = model.theta.copy()
     with pytest.raises(DivergenceError, match="encoder.t.block0.w1"):
-        checked_noise_std(model, batch, conv_grads, 1, MODS)
+        training._noise_std(model, batch, conv_grads, MODS, 1)
     assert np.array_equal(model.theta, start)
 
 
@@ -200,7 +199,7 @@ def test_noise_std_equals_ndarray_std_of_the_rows_bit_for_bit(monkeypatch):
     assert len(list(training.packs(batch))) >= 2
     rows, grad = conv_grads.copy(), model.grad.copy()
     assert not rows[:, model.encoder_spans["v"]].any()
-    scale = checked_noise_std(model, batch, conv_grads, 1, active)
+    scale = training._noise_std(model, batch, conv_grads, active, 1)
     assert list(scale) == list(active)
     for m in active:
         expected = (rows[:, model.encoder_spans[m]].std(axis=0, ddof=1)
@@ -618,11 +617,18 @@ def test_divergence_names_step_conversation_and_term():
     assert len(traces) == 2
 
 
-@pytest.mark.parametrize("every", [1, 2], ids=["everywhere", "every-second"])
-def test_a_zero_modality_trains_with_cosine_fusion(every):
+@pytest.mark.parametrize("every, disable_amw", [
+    pytest.param(1, False, id="everywhere"),
+    pytest.param(2, False, id="every-second"),
+    pytest.param(1, True, id="everywhere-no_amw"),
+    pytest.param(2, True, id="every-second-no_amw")])
+def test_a_zero_modality_trains_with_cosine_fusion(every, disable_amw):
     # a missing modality filled with zeros: its feature rows sit at the
     # cosine floor, which must pass them no gradient (1 / NORM_FLOOR would
-    # overflow within a step) and leave the run bounded
+    # overflow within a step), and its encoder rows are constant, so each
+    # layer norm must pass them none either (1 / sqrt(LN_EPS) = 1000 per
+    # norm would take no_amw to |theta| 2e9 in 5 epochs); the run stays
+    # bounded
     spec = SynthSpec(conversations=30, utterances=(3, 8), seed=1,
                      gamma={"t": 1.0, "a": 0.5, "v": 0.4}, noise_sigma=0.2)
     data = generate(spec)
@@ -630,7 +636,8 @@ def test_a_zero_modality_trains_with_cosine_fusion(every):
                                   "v": np.zeros_like(c.features["v"])})
              if i % every == 0 else c
              for i, c in enumerate(data.conversations)]
-    model = Model(ModelConfig(), data.num_classes, data.dims, seed=0)
+    model = Model(ModelConfig(disable_amw=disable_amw), data.num_classes,
+                  data.dims, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         train(model, convs, OptimizerConfig(learning_rate=0.1, epochs=5,
