@@ -209,6 +209,9 @@ def from_payload(payload):
         dims = {m: payload["dims"][m] for m in MODALITIES}
     except (KeyError, TypeError) as exc:
         raise DatasetError(f"dataset header is malformed: missing {exc}") from exc
+    unknown = sorted(set(payload["dims"]) - set(MODALITIES))
+    if unknown:
+        raise DatasetError(f"dataset header: unknown dims modalities {unknown}")
     header = {"num_classes": (num_classes, 2),
               **{f"dims.{m}": (dim, 1) for m, dim in dims.items()}}
     for what, (value, low) in header.items():

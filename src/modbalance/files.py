@@ -9,11 +9,12 @@ from pathlib import Path
 
 def read_json(path, error):
     """Parse the JSON file at ``path``; a file that cannot be read or
-    parsed raises ``error`` naming it."""
+    parsed (not UTF-8, not JSON, nested past the recursion limit) raises
+    ``error`` naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: malformed JSON ({exc})") from exc
     except OSError as exc:
         raise error(f"{path}: {exc}") from exc

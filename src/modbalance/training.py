@@ -26,18 +26,13 @@ So a step is: ``backward_batch`` (every pack's forward and backward, then
 the sum of any rows into ``model.grad``), ``_noise_std`` (a
 DivergenceError on a non-finite gradient, else each active modality's
 noise scale, taken in place on its columns of the rows, which are scratch
-afterwards), then ``apply_update``, the step. The step's standard normals
-depend on nothing it computes, so when noise is drawn ``train`` hands
-``draw_normals`` to a worker thread (one per call, joined before it
-returns or raises) before ``backward_batch``, and ``apply_update`` takes
-the normals ready-made. numpy's ``Generator`` releases the GIL while it
-fills, so the draw runs alongside the backward, and the stream is the one
-a draw at the update would take.
+afterwards), then ``apply_update``, the step, which draws the noise's
+standard normals from ``train``'s generator where it uses them: one draw
+per active span per step, in ``MODALITIES`` order.
 """
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,14 +177,13 @@ def modulation_coefficient(ratios, alpha):
     }
 
 
-def apply_update(model, grads, eta, k=None, noise_std=None, normals=None):
+def apply_update(model, grads, eta, k=None, noise_std=None, rng=None):
     """SGD step on ``model.theta``: theta <- theta - eta*g*k + eta*noise.
 
     ``k`` maps modalities to the coefficient of their encoder span, and
     ``noise_std`` (optional) to per-parameter standard deviations there;
-    ``normals`` then maps them to standard normals already drawn, one per
-    parameter of the span (``train`` draws them on a worker thread during
-    the step's backward), and the noise is their product. All else takes
+    the noise is then one standard normal per parameter of the span, drawn
+    from ``rng`` in ``k``'s order, times that deviation. All else takes
     plain SGD steps. With k=1 and no noise this is bit-identical to
     vanilla SGD. ``grads`` must be finite (``_noise_std`` checks it).
     """
@@ -198,17 +192,9 @@ def apply_update(model, grads, eta, k=None, noise_std=None, normals=None):
         span = model.encoder_spans[m]
         step[span] *= k_m
         if noise_std is not None:
-            step[span] -= eta * (normals[m] * noise_std[m])
+            step[span] -= eta * (rng.standard_normal(span.stop - span.start)
+                                 * noise_std[m])
     model.theta -= step
-
-
-def draw_normals(rng, normals):
-    """Fill each buffer of ``normals``, in its order, with standard normals
-    from ``rng``; returns ``normals``. ``train`` runs it on its worker
-    thread: numpy's ``Generator`` releases the GIL while it fills."""
-    for z in normals.values():
-        rng.standard_normal(out=z)
-    return normals
 
 
 def packs(batch):
@@ -372,10 +358,9 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
     total. Then check the gradients and take the noise scale, average the
     gradients, derive balance scores / ratios / modulation coefficients,
     and update encoder blocks with modulated (optionally noisy) SGD and
-    everything else with plain SGD; a noisy run draws each step's normals
-    on its worker thread during the step's backward. Appends one StepTrace
-    per step to ``trace_sink`` (or an internal list) and evaluates
-    ``eval_data`` once per epoch. ``active`` goes through
+    everything else with plain SGD. Appends one StepTrace per step to
+    ``trace_sink`` (or an internal list) and evaluates ``eval_data`` once
+    per epoch. ``active`` goes through
     ``parse_modalities``, so a subset trains in ``MODALITIES`` order (and
     draws its noise in that order) however it is spelled.
     """
@@ -386,53 +371,44 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
     # of the largest batch; allocated once per call (not per step)
     conv_grads = (np.empty((min(config.batch_size, len(conversations)),
                             model.encoder_size)) if use_noise else None)
-    # the buffers each step's normals are drawn into, one per encoder span
-    normals = ({m: np.empty_like(model.theta[model.encoder_spans[m]])
-                for m in active} if use_noise else None)
 
     traces = trace_sink if trace_sink is not None else []
     result = TrainResult(traces=traces, eval_history=[])
     step = 0
-    # the worker's thread starts at the first draw; leaving the block waits
-    # for a draw in flight and joins it, also when the block raises
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for epoch in range(1, config.epochs + 1):
-            for batch in make_batches(conversations, config.batch_size,
-                                      seed=config.seed + epoch):
-                step += 1
-                drawn = (worker.submit(draw_normals, noise_rng, normals)
-                         if use_noise else None)
-                stacked, all_labels, terms = backward_batch(
-                    model, batch, conv_grads, active, step)
-                noise_std = _noise_std(model, batch, conv_grads, active, step)
-                grads = model.grad / len(batch)
-                scores = {m: unimodal_score(stacked[m], all_labels)
-                          for m in active}
-                ratios = discrepancy_ratio(scores)
-                if config.disable_modulation:
-                    coefficients = {m: 1.0 for m in active}
-                else:
-                    coefficients = modulation_coefficient(ratios, config.alpha)
-                apply_update(model, grads, config.learning_rate,
-                             k=coefficients, noise_std=noise_std,
-                             normals=drawn.result() if use_noise else None)
+    for epoch in range(1, config.epochs + 1):
+        for batch in make_batches(conversations, config.batch_size,
+                                  seed=config.seed + epoch):
+            step += 1
+            stacked, all_labels, terms = backward_batch(
+                model, batch, conv_grads, active, step)
+            noise_std = _noise_std(model, batch, conv_grads, active, step)
+            grads = model.grad / len(batch)
+            scores = {m: unimodal_score(stacked[m], all_labels)
+                      for m in active}
+            ratios = discrepancy_ratio(scores)
+            if config.disable_modulation:
+                coefficients = {m: 1.0 for m in active}
+            else:
+                coefficients = modulation_coefficient(ratios, config.alpha)
+            apply_update(model, grads, config.learning_rate,
+                         k=coefficients, noise_std=noise_std, rng=noise_rng)
 
-                losses = LossBreakdown.from_parts(
-                    *(float(np.mean(term)) for term in terms))
-                norms = weight_norm_trace(model.head, active).mean(axis=1)
-                traces.append(StepTrace(
-                    epoch=epoch, step=step, losses=losses,
-                    balance=BalanceState(scores=scores, ratios=ratios,
-                                         coefficients=coefficients),
-                    weight_norms={m: float(n) for m, n in zip(active, norms)},
-                    logit_means=logit_trace(stacked, all_labels)))
+            losses = LossBreakdown.from_parts(
+                *(float(np.mean(term)) for term in terms))
+            norms = weight_norm_trace(model.head, active).mean(axis=1)
+            traces.append(StepTrace(
+                epoch=epoch, step=step, losses=losses,
+                balance=BalanceState(scores=scores, ratios=ratios,
+                                     coefficients=coefficients),
+                weight_norms={m: float(n) for m, n in zip(active, norms)},
+                logit_means=logit_trace(stacked, all_labels)))
 
-            if eval_data is not None:
-                report = evaluate(model, eval_data, active=active)
-                result.final_report = report
-                result.eval_history.append((epoch, report.accuracy,
-                                            report.weighted_f1))
-                if report.weighted_f1 > result.best_weighted_f1:
-                    result.best_weighted_f1 = report.weighted_f1
-                    result.best_epoch = epoch
+        if eval_data is not None:
+            report = evaluate(model, eval_data, active=active)
+            result.final_report = report
+            result.eval_history.append((epoch, report.accuracy,
+                                        report.weighted_f1))
+            if report.weighted_f1 > result.best_weighted_f1:
+                result.best_weighted_f1 = report.weighted_f1
+                result.best_epoch = epoch
     return result

@@ -109,6 +109,11 @@ def zero_dim_checkpoint(tmp_path):
     return eval_argv(tmp_path, path)
 
 
+def write_bytes(path, blob):
+    path.write_bytes(blob)
+    return path
+
+
 def with_dataset(tmp_path, payload):
     path = write_json(tmp_path / "data.json", payload)
     return train_argv(tmp_path, {"data": {"path": str(path)}})
@@ -139,6 +144,12 @@ BAD_INPUTS = {
         tmp_path, bad_dataset(t=[[float("inf")] * 6] * 2)), "c0"),
     "dataset_fractional_label": (lambda tmp_path: with_dataset(
         tmp_path, bad_dataset(labels=[0, 1.7])), "c0"),
+    "run_config_not_utf8": (lambda tmp_path: [
+        "train", "--config", write_bytes(tmp_path / "run.json", b"\xff{}")],
+        "run.json"),
+    "dataset_nested_too_deep": (lambda tmp_path: train_argv(tmp_path, {
+        "data": {"path": str(write_bytes(tmp_path / "data.json",
+                                         b"[" * 100_000))}}), "data.json"),
     "dataset_conversations_not_a_list": (lambda tmp_path: with_dataset(
         tmp_path, {**bad_dataset(), "conversations": {"a": 1}}),
         "conversations"),

@@ -310,6 +310,8 @@ def test_load_rejects_non_string_and_repeated_ids(ids, message):
     ({"conversations": {"a": 1}}, "conversations must be a list, got dict"),
     ({"conversations": [5]}, "conversation conv0000: must be an object, "
                              "got int"),
+    ({"dims": {"t": 2, "a": 2, "v": 2, "x": 2}},
+     "unknown dims modalities ['x']"),
 ])
 def test_load_rejects_bad_header_naming_the_field(header, message):
     payload = {**one_utterance_payload(), **header}
