@@ -136,7 +136,12 @@ class SynthSpec:
 def _draw_prototypes(rng, spec):
     protos = {}
     for m in MODALITIES:
-        rows = rng.standard_normal((spec.num_classes, spec.dims[m]))
+        try:
+            rows = rng.standard_normal((spec.num_classes, spec.dims[m]))
+        except ValueError as exc:  # numpy refuses the shape before allocating
+            raise DatasetError(
+                f"synthetic spec: num_classes {spec.num_classes} by dims.{m} "
+                f"{spec.dims[m]} is too large: {exc}") from exc
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         protos[m] = rows
     return protos
@@ -204,14 +209,16 @@ def save(dataset, path):
 def from_payload(payload):
     """Build a Dataset from a parsed file: the one place a file is checked,
     in one pass in file order, so an error names the first bad conversation."""
+    if not isinstance(payload, Mapping):
+        raise DatasetError(f"dataset file must be a JSON object, got "
+                           f"{type(payload).__name__}")
+    check_keys(payload.get("dims", {}), MODALITIES,
+               "dims modalities in the dataset header", DatasetError)
     try:
         num_classes = payload["num_classes"]
         dims = {m: payload["dims"][m] for m in MODALITIES}
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise DatasetError(f"dataset header is malformed: missing {exc}") from exc
-    unknown = sorted(set(payload["dims"]) - set(MODALITIES))
-    if unknown:
-        raise DatasetError(f"dataset header: unknown dims modalities {unknown}")
     header = {"num_classes": (num_classes, 2),
               **{f"dims.{m}": (dim, 1) for m, dim in dims.items()}}
     for what, (value, low) in header.items():
@@ -249,6 +256,10 @@ def from_payload(payload):
         for y in (min(labels), max(labels)):
             if not 0 <= y < num_classes:
                 raise bad(f"label {y} outside [0, {num_classes})")
+        try:
+            labels = np.array(labels, np.int64)
+        except OverflowError as exc:  # num_classes is past int64 too
+            raise bad(f"label {max(labels)} does not fit in int64") from exc
         features = {}
         for m in MODALITIES:
             if m not in entry:
@@ -273,7 +284,7 @@ def from_payload(payload):
                 raise bad(f"modality {m!r} has non-finite features")
             features[m] = arr.astype(np.float64, copy=False)
         conversations.append(Conversation(
-            id=cid, features=features, labels=np.array(labels, np.int64)))
+            id=cid, features=features, labels=labels))
     return Dataset(num_classes=num_classes, dims=dims,
                    conversations=conversations)
 

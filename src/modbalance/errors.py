@@ -30,14 +30,14 @@ class CheckpointError(ModBalanceError):
     """A checkpoint file is malformed or does not match the model."""
 
 
-def check_keys(payload, known, what):
-    """Raise ConfigError unless ``payload`` is a mapping with only ``known``
-    keys."""
+def check_keys(payload, known, what, error=ConfigError):
+    """Raise ``error`` naming ``what`` unless ``payload`` is a mapping with
+    only ``known`` keys."""
     if not isinstance(payload, Mapping):
-        raise ConfigError(f"{what} must be a JSON object, got {payload!r}")
+        raise error(f"{what} must be a JSON object, got {payload!r}")
     unknown = set(payload) - set(known)
     if unknown:
-        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+        raise error(f"unknown {what}: {sorted(unknown)}")
 
 
 def check_value(value, expected, what, error=ConfigError):

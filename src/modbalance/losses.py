@@ -19,29 +19,12 @@ conversation alone would give. ``main_loss`` is one node: it adds the
 three vectors and sums them into the pack's scalar total.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
 from .tensor import Segments, Tensor, accumulate
 
 TERMS = ("cls", "feature", "modal")  # the order of main_loss's arguments
-
-
-@dataclass
-class LossBreakdown:
-    """Scalar record of one step's loss terms; main is their exact sum."""
-
-    cls: float
-    feature: float
-    modal: float
-    main: float
-
-    @classmethod
-    def from_parts(cls, cls_term, feature_term, modal_term):
-        return cls(cls=cls_term, feature=feature_term, modal=modal_term,
-                   main=cls_term + feature_term + modal_term)
 
 
 def _cross_entropy(logits, labels, segments=None):

@@ -36,7 +36,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 _GRAD_ENABLED = True
@@ -227,7 +227,8 @@ class Parameters:
     [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn from ``rng``), ``"zeros"`` or
     ``"ones"``. It records the block in ``blocks`` (name -> Tensor) and
     counts the entries made so far in ``size``. The order of the calls is
-    both the order of the seeded draws and the order of ``blocks``.
+    both the order of the seeded draws and the order of ``blocks``. A shape
+    numpy cannot address raises ConfigError naming the block.
     """
 
     def __init__(self, rng):
@@ -236,13 +237,17 @@ class Parameters:
         self.size = 0
 
     def __call__(self, name, shape, init):
-        if init == "zeros":
-            data = np.zeros(shape)
-        elif init == "ones":
-            data = np.ones(shape)
-        else:
-            scale = 1.0 / np.sqrt(init)
-            data = self.rng.uniform(-scale, scale, size=shape)
+        try:
+            if init == "zeros":
+                data = np.zeros(shape)
+            elif init == "ones":
+                data = np.ones(shape)
+            else:
+                scale = 1.0 / np.sqrt(init)
+                data = self.rng.uniform(-scale, scale, size=shape)
+        except ValueError as exc:  # numpy refuses the shape before allocating
+            raise ConfigError(f"parameter block {name} of shape {shape} is "
+                              f"too large: {exc}") from exc
         block = self.blocks[name] = Tensor(data, requires_grad=True)
         self.size += data.size
         return block

@@ -39,15 +39,8 @@ import numpy as np
 
 from .dataset import MODALITIES, batches as make_batches, parse_modalities
 from .errors import ConfigError, DivergenceError, check_fields, check_keys
-from .losses import (
-    TERMS,
-    LossBreakdown,
-    cls_loss,
-    feature_loss,
-    main_loss,
-    modal_loss,
-)
-from .metrics import EvalReport, logit_trace
+from .losses import TERMS, cls_loss, feature_loss, main_loss, modal_loss
+from .metrics import EvalReport
 from .modality_weighting import weight_norm_trace
 from .tensor import Segments, Tensor, no_grad, softmax_array
 
@@ -70,14 +63,16 @@ graph memory: a one-conversation graph holds 6.65 MB at 128 rows and
 ROADMAP's perf notes weigh larger packs against the benchmark's peak
 RSS."""
 
-TRACE_HEADER = [
-    "epoch", "step",
-    "loss_cls", "loss_feature", "loss_modal", "loss_main",
-    "s_t", "s_a", "s_v",
-    "rho_t", "rho_a", "rho_v",
-    "k_t", "k_a", "k_v",
-    "wnorm_t", "wnorm_a", "wnorm_v",
-]
+TRACE_COLUMNS = (("s", "scores"), ("rho", "ratios"), ("k", "coefficients"),
+                 ("wnorm", "weight_norms"))
+"""Each per-modality column prefix of ``traces.csv`` and the StepTrace
+field it writes: one column ``<prefix>_<m>`` per modality of
+``MODALITIES``, ``nan`` where ``m`` is not active."""
+
+TRACE_HEADER = (["epoch", "step"] + [f"loss_{t}" for t in TERMS]
+                + ["loss_main"]
+                + [f"{prefix}_{m}" for prefix, _ in TRACE_COLUMNS
+                   for m in MODALITIES])
 
 
 @dataclass(frozen=True)
@@ -109,35 +104,29 @@ class OptimizerConfig:
 
 
 @dataclass
-class BalanceState:
-    """Per-step balance quantities, keyed by modality."""
+class StepTrace:
+    """One step, one row of ``traces.csv``: the batch means of the three
+    loss terms, in ``TERMS`` order, and the ``TRACE_COLUMNS`` fields, each
+    keyed by active modality."""
 
+    epoch: int
+    step: int
+    losses: tuple
     scores: dict
     ratios: dict
     coefficients: dict
-
-
-@dataclass
-class StepTrace:
-    epoch: int
-    step: int
-    losses: LossBreakdown
-    balance: BalanceState
     weight_norms: dict
-    logit_means: dict
 
     def csv_row(self):
-        def per_modality(values):
-            return [repr(float(values[m])) if m in values else "nan"
+        cls_term, feature_term, modal_term = self.losses
+        main = cls_term + feature_term + modal_term
+        row = [str(self.epoch), str(self.step)]
+        row += [repr(value) for value in (*self.losses, main)]
+        for _, field in TRACE_COLUMNS:
+            values = getattr(self, field)
+            row += [repr(float(values[m])) if m in values else "nan"
                     for m in MODALITIES]
-
-        return ([str(self.epoch), str(self.step),
-                 repr(self.losses.cls), repr(self.losses.feature),
-                 repr(self.losses.modal), repr(self.losses.main)]
-                + per_modality(self.balance.scores)
-                + per_modality(self.balance.ratios)
-                + per_modality(self.balance.coefficients)
-                + per_modality(self.weight_norms))
+        return row
 
 
 @dataclass
@@ -393,15 +382,12 @@ def train(model, conversations, config, active=MODALITIES, eval_data=None,
             apply_update(model, grads, config.learning_rate,
                          k=coefficients, noise_std=noise_std, rng=noise_rng)
 
-            losses = LossBreakdown.from_parts(
-                *(float(np.mean(term)) for term in terms))
             norms = weight_norm_trace(model.head, active).mean(axis=1)
             traces.append(StepTrace(
-                epoch=epoch, step=step, losses=losses,
-                balance=BalanceState(scores=scores, ratios=ratios,
-                                     coefficients=coefficients),
-                weight_norms={m: float(n) for m, n in zip(active, norms)},
-                logit_means=logit_trace(stacked, all_labels)))
+                epoch=epoch, step=step,
+                losses=tuple(float(np.mean(term)) for term in terms),
+                scores=scores, ratios=ratios, coefficients=coefficients,
+                weight_norms={m: float(n) for m, n in zip(active, norms)}))
 
         if eval_data is not None:
             report = evaluate(model, eval_data, active=active)

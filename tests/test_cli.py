@@ -184,6 +184,15 @@ BAD_INPUTS = {
            ("model", "beta", float("nan"))]},
     "run_config_ffn_too_large_to_allocate": (lambda tmp_path: train_argv(
         tmp_path, {"model": {"ffn": 10**12}}), "Unable to allocate"),
+    # numpy refuses these shapes before it allocates anything
+    "run_config_hidden_past_numpy_limit": (lambda tmp_path: train_argv(
+        tmp_path, {"model": {"hidden": 2**62, "heads": 1}}),
+        "encoder.t.in_proj.w"),
+    "synth_dims_past_numpy_limit": (lambda tmp_path: train_argv(
+        tmp_path, {"data": {"synth": {"dims": {"a": 2**62}}}}), "dims.a"),
+    "dataset_label_past_int64": (lambda tmp_path: with_dataset(
+        tmp_path, {**bad_dataset(labels=[0, 2**69]), "num_classes": 2**70}),
+        "c0"),
     "run_config_zero_heads": (lambda tmp_path: train_argv(
         tmp_path, {"model": {"heads": 0}}), "heads"),
     "run_config_negative_seed": (lambda tmp_path: train_argv(

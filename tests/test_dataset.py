@@ -311,10 +311,17 @@ def test_load_rejects_non_string_and_repeated_ids(ids, message):
     ({"conversations": [5]}, "conversation conv0000: must be an object, "
                              "got int"),
     ({"dims": {"t": 2, "a": 2, "v": 2, "x": 2}},
-     "unknown dims modalities ['x']"),
+     "unknown dims modalities in the dataset header: ['x']"),
+    ({"dims": [2, 2, 2]}, "dims modalities in the dataset header must be a "
+                          "JSON object, got [2, 2, 2]"),
+    ({"dims": 5}, "dims modalities in the dataset header must be a JSON "
+                  "object, got 5"),
+    ([{"num_classes": 3}], "dataset file must be a JSON object, got list"),
 ])
 def test_load_rejects_bad_header_naming_the_field(header, message):
-    payload = {**one_utterance_payload(), **header}
+    # a header that is not a dict is the whole file
+    payload = ({**one_utterance_payload(), **header}
+               if isinstance(header, dict) else header)
     with pytest.raises(DatasetError) as info:
         from_payload(payload)
     assert message in str(info.value)

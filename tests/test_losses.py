@@ -7,7 +7,6 @@ import pytest
 
 from modbalance.errors import ShapeError
 from modbalance.losses import (
-    LossBreakdown,
     cls_loss,
     feature_loss,
     main_loss,
@@ -224,7 +223,3 @@ def test_main_loss_gradient_matches_finite_differences_on_every_block(variant):
     active = ("t", "a") if variant == "t,a" else ("t", "a", "v")
     _sampled_grad_check(model, features, labels, active)
 
-
-def test_breakdown_main_is_exact_sum():
-    b = LossBreakdown.from_parts(0.1, 0.2, 0.3)
-    assert b.main == 0.1 + 0.2 + 0.3

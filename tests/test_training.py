@@ -17,6 +17,7 @@ from modbalance.model import Model, ModelConfig
 from modbalance.tensor import Tensor
 from modbalance.training import (
     OptimizerConfig,
+    StepTrace,
     TRACE_HEADER,
     apply_update,
     discrepancy_ratio,
@@ -269,6 +270,31 @@ def test_single_conversation_single_epoch_is_one_step():
     assert len(trace.csv_row()) == len(TRACE_HEADER)
 
 
+def test_trace_row_writes_each_column_for_a_subset():
+    assert TRACE_HEADER == [
+        "epoch", "step",
+        "loss_cls", "loss_feature", "loss_modal", "loss_main",
+        "s_t", "s_a", "s_v",
+        "rho_t", "rho_a", "rho_v",
+        "k_t", "k_a", "k_v",
+        "wnorm_t", "wnorm_a", "wnorm_v",
+    ]
+    trace = StepTrace(epoch=2, step=7, losses=(0.1, 0.2, 0.3),
+                      scores={"t": 1.5, "v": 0.25},
+                      ratios={"t": 6.0, "v": 1.0},
+                      coefficients={"t": 1.0 - math.tanh(0.6), "v": 1.0},
+                      weight_norms={"t": 0.125, "v": 1e-17})
+    assert trace.csv_row() == [
+        "2", "7",
+        "0.1", "0.2", "0.3", "0.6000000000000001",
+        "1.5", "nan", "0.25",
+        "6.0", "nan", "1.0",
+        repr(1.0 - math.tanh(0.6)), "nan", "1.0",
+        "0.125", "nan", "1e-17",
+    ]
+    assert trace.csv_row()[5] == repr(0.1 + 0.2 + 0.3)
+
+
 def test_trace_balance_invariants_hold_per_step():
     model = tiny_model()
     data = tiny_data(conversations=6)
@@ -277,14 +303,14 @@ def test_trace_balance_invariants_hold_per_step():
     result = train(model, data, config)
     assert len(result.traces) == 4  # 2 epochs x 2 batches
     for trace in result.traces:
-        ratios = trace.balance.ratios
-        coeffs = trace.balance.coefficients
+        ratios = trace.ratios
+        coeffs = trace.coefficients
         assert min(ratios.values()) == 1.0
         weakest = min(ratios, key=ratios.get)
         assert coeffs[weakest] == 1.0
         for m in MODS:
             assert 0.0 < coeffs[m] <= 1.0
-            assert trace.balance.scores[m] > 0.0
+            assert trace.scores[m] > 0.0
 
 
 def test_modulation_never_touches_non_encoder_parameters():
@@ -412,7 +438,7 @@ def test_noisy_step_matches_per_block_reference():
     # stacked per-conversation gradients and one noise draw per block
     data = tiny_data(conversations=3)
     model = tiny_model(seed=17)
-    coefficients = train(model, data, NOISY_STEP).traces[0].balance.coefficients
+    coefficients = train(model, data, NOISY_STEP).traces[0].coefficients
     reference = reference_noisy_step(data, NOISY_STEP, coefficients, seed=17)
     assert min(coefficients.values()) < 1.0
     assert (np.abs(reference.theta - model.theta).max()
@@ -426,7 +452,7 @@ def test_noisy_step_matches_per_block_reference_bitwise_one_conversation_per_pac
     monkeypatch.setattr(training, "PACK_ROWS", 1)
     data = tiny_data(conversations=3)
     model = tiny_model(seed=17)
-    coefficients = train(model, data, NOISY_STEP).traces[0].balance.coefficients
+    coefficients = train(model, data, NOISY_STEP).traces[0].coefficients
     reference = reference_noisy_step(data, NOISY_STEP, coefficients, seed=17)
     assert min(coefficients.values()) < 1.0
     assert np.array_equal(reference.theta, model.theta)
