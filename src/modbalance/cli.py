@@ -136,6 +136,9 @@ def cmd_train(config):
         "final_epoch": config.optim.epochs,
         "best_epoch": result.best_epoch,
         "best_weighted_f1": result.best_weighted_f1,
+        "eval_history": [
+            {"epoch": epoch, "accuracy": accuracy, "weighted_f1": wf1}
+            for epoch, accuracy, wf1 in result.eval_history],
         "modalities": list(config.modalities),
     }
     write_report(out_dir / "report.json", report)

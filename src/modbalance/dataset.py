@@ -179,8 +179,15 @@ def generate(spec):
 # {"num_classes": int, "dims": {"t": int, "a": int, "v": int},
 #  "conversations": [{"id": str, "labels": [int],
 #                     "t": [[f64]], "a": [[f64]], "v": [[f64]]}]}
-# Ids are unique strings (conv<index:04d> if absent). Each label is an int in
-# [0, num_classes), and each feature a finite number, never a boolean.
+# No other key is allowed. Ids are unique strings (conv<index:04d> if
+# absent). Each label is an int in [0, num_classes), and each feature a
+# finite number, never a boolean. ``load`` turns each conversation's rows
+# into arrays as the parser closes that conversation, so a file's features
+# are never all held as Python floats at once.
+
+FILE_KEYS = ("num_classes", "dims", "conversations")
+CONVERSATION_KEYS = ("id", "labels", *MODALITIES)
+
 
 def to_payload(dataset):
     return {
@@ -206,12 +213,53 @@ def save(dataset, path):
         fh.write(dumps(dataset))
 
 
+def _feature_array(rows, check_shape):
+    """``rows`` as an array of numbers, converted without loss: its
+    ``np.asarray`` must have a dtype of kind i, u or f, pass
+    ``check_shape`` and, when ``rows`` are lists, hold no boolean (an array
+    holds none). Raises TypeError or ValueError, or what ``check_shape``
+    raises."""
+    arr = np.asarray(rows)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"got {arr.dtype} values")
+    check_shape(arr)
+    if not isinstance(rows, np.ndarray):
+        # numpy reads a boolean among numbers as 0 or 1
+        zero_one = (arr == 0) | (arr == 1)
+        if zero_one.any() and any(type(rows[r][c]) is bool
+                                  for r, c in np.argwhere(zero_one)):
+            raise TypeError("got a boolean")
+    return arr
+
+
+def _two_d(arr):
+    if arr.ndim != 2:
+        raise ValueError(f"rows of {arr.ndim} dimensions")
+
+
+def _features_as_arrays(obj):
+    """``json`` object hook: the rows of each modality of a conversation
+    (an object with a "labels" key) become an array if ``_feature_array``
+    takes them as 2-D. Other objects, and rows it refuses, stay as parsed,
+    for ``from_payload`` to report."""
+    if "labels" in obj:
+        for m in MODALITIES:
+            if m in obj:
+                try:
+                    obj[m] = _feature_array(obj[m], _two_d)
+                except (TypeError, ValueError):
+                    pass
+    return obj
+
+
 def from_payload(payload):
     """Build a Dataset from a parsed file: the one place a file is checked,
-    in one pass in file order, so an error names the first bad conversation."""
+    in one pass in file order, so an error names the first bad conversation.
+    A modality's rows may be lists or an array."""
     if not isinstance(payload, Mapping):
         raise DatasetError(f"dataset file must be a JSON object, got "
                            f"{type(payload).__name__}")
+    check_keys(payload, FILE_KEYS, "dataset file keys", DatasetError)
     check_keys(payload.get("dims", {}), MODALITIES,
                "dims modalities in the dataset header", DatasetError)
     try:
@@ -248,6 +296,7 @@ def from_payload(payload):
             raise DatasetError(f"conversation {i}: id {cid!r} repeats "
                                f"conversation {seen[cid]}")
         seen[cid] = i
+        check_keys(entry, CONVERSATION_KEYS, "keys", bad)
         labels = entry.get("labels")
         if not isinstance(labels, list) or set(map(type, labels)) - {int}:
             raise bad("labels must be a list of integers")
@@ -264,19 +313,14 @@ def from_payload(payload):
         for m in MODALITIES:
             if m not in entry:
                 raise bad(f"missing modality {m!r}")
-            rows = entry[m]
-            try:
-                arr = np.asarray(rows)
-                if arr.dtype.kind not in "iuf":
-                    raise TypeError(f"got {arr.dtype} values")
-                if arr.shape != (len(labels), dims[m]):
+            expected = (len(labels), dims[m])
+
+            def check_shape(arr):
+                if arr.shape != expected:
                     raise bad(f"modality {m!r} has shape {arr.shape}, "
-                              f"expected ({len(labels)}, {dims[m]})")
-                # numpy reads a boolean among numbers as 0 or 1
-                zero_one = (arr == 0) | (arr == 1)
-                if zero_one.any() and any(type(rows[r][c]) is bool
-                                          for r, c in np.argwhere(zero_one)):
-                    raise TypeError("got a boolean")
+                              f"expected {expected}")
+            try:
+                arr = _feature_array(entry[m], check_shape)
             except (TypeError, ValueError) as exc:
                 raise bad(f"modality {m!r} rows are not lists of numbers "
                           f"({exc})") from exc
@@ -290,8 +334,10 @@ def from_payload(payload):
 
 
 def load(path):
-    """Parse and validate a dataset file; failures name the conversation."""
-    return from_payload(read_json(path, DatasetError))
+    """Parse and validate a dataset file; failures name the conversation.
+    Each conversation's features become arrays as it is parsed
+    (``_features_as_arrays``), and ``from_payload`` checks them."""
+    return from_payload(read_json(path, DatasetError, _features_as_arrays))
 
 
 def batches(conversations, batch_size, seed):

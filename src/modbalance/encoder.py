@@ -18,6 +18,8 @@ conversation's row of ``segments.grads``, which is how training gets the
 per-conversation encoder gradients its noise estimate needs.
 """
 
+import math
+
 import numpy as np
 
 from .tensor import (
@@ -43,10 +45,7 @@ class EncoderParams:
         self.heads = config.heads
         self.w_in = new(f"{prefix}.in_proj.w", (input_dim, h), input_dim)
         self.b_in = new(f"{prefix}.in_proj.b", (h,), "zeros")
-        self.blocks = [
-            {key: new(f"{prefix}.block{i}.{key}", shape, init)
-             for key, shape, init in (
-                 ("wq", (h, h), h),
+        layer = (("wq", (h, h), h),
                  ("wk", (h, h), h),
                  ("wv", (h, h), h),
                  ("wo", (h, h), h),
@@ -58,7 +57,12 @@ class EncoderParams:
                  ("w2", (f, h), f),
                  ("b2", (h,), "zeros"),
                  ("ln2_g", (h,), "ones"),
-                 ("ln2_b", (h,), "zeros"))}
+                 ("ln2_b", (h,), "zeros"))
+        new.check_total(f"{prefix}.layers", (
+            config.layers, sum(math.prod(shape) for _, shape, _ in layer)))
+        self.blocks = [
+            {key: new(f"{prefix}.block{i}.{key}", shape, init)
+             for key, shape, init in layer}
             for i in range(config.layers)]
 
 

@@ -7,13 +7,14 @@ from contextlib import contextmanager
 from pathlib import Path
 
 
-def read_json(path, error):
-    """Parse the JSON file at ``path``; a file that cannot be read or
-    parsed (not UTF-8, not JSON, nested past the recursion limit) raises
-    ``error`` naming it."""
+def read_json(path, error, object_hook=None):
+    """Parse the JSON file at ``path``, passing each object to
+    ``object_hook`` (as ``json.load`` does) if one is given; a file that
+    cannot be read or parsed (not UTF-8, not JSON, nested past the
+    recursion limit) raises ``error`` naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: malformed JSON ({exc})") from exc
     except OSError as exc:

@@ -33,6 +33,7 @@ fused in the modules that own them; ``Tensor`` itself has no arithmetic.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -219,6 +220,15 @@ class Tensor:
             node._parents = ()
 
 
+# numpy refuses an array whose size in bytes does not fit in np.intp
+MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
+def _too_large(name, shape, reason):
+    return ConfigError(
+        f"parameter block {name} of shape {shape} is too large: {reason}")
+
+
 class Parameters:
     """Maker of a model's parameter blocks, in one fixed order.
 
@@ -228,7 +238,8 @@ class Parameters:
     ``"ones"``. It records the block in ``blocks`` (name -> Tensor) and
     counts the entries made so far in ``size``. The order of the calls is
     both the order of the seeded draws and the order of ``blocks``. A shape
-    numpy cannot address raises ConfigError naming the block.
+    numpy cannot address raises ConfigError naming the block, and so does
+    ``check_total`` for blocks made in a loop, before the first is made.
     """
 
     def __init__(self, rng):
@@ -246,11 +257,19 @@ class Parameters:
                 scale = 1.0 / np.sqrt(init)
                 data = self.rng.uniform(-scale, scale, size=shape)
         except ValueError as exc:  # numpy refuses the shape before allocating
-            raise ConfigError(f"parameter block {name} of shape {shape} is "
-                              f"too large: {exc}") from exc
+            raise _too_large(name, shape, exc) from exc
         block = self.blocks[name] = Tensor(data, requires_grad=True)
         self.size += data.size
         return block
+
+    @staticmethod
+    def check_total(name, shape):
+        """Refuse blocks that together hold as many entries as one array
+        of ``shape`` (such as one row per encoder layer) when numpy could
+        not address that array, as ``new`` refuses one block."""
+        if math.prod(shape) > MAX_ENTRIES:
+            raise _too_large(name, shape,
+                             f"more than {MAX_ENTRIES} float64 entries")
 
 
 def softmax_array(x, axis=-1):

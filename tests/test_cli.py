@@ -150,6 +150,9 @@ BAD_INPUTS = {
     "dataset_nested_too_deep": (lambda tmp_path: train_argv(tmp_path, {
         "data": {"path": str(write_bytes(tmp_path / "data.json",
                                          b"[" * 100_000))}}), "data.json"),
+    "dataset_conversations_key_misspelt": (lambda tmp_path: with_dataset(
+        tmp_path, {"conversatons" if k == "conversations" else k: v
+                   for k, v in bad_dataset().items()}), "conversatons"),
     "dataset_conversations_not_a_list": (lambda tmp_path: with_dataset(
         tmp_path, {**bad_dataset(), "conversations": {"a": 1}}),
         "conversations"),
@@ -188,6 +191,8 @@ BAD_INPUTS = {
     "run_config_hidden_past_numpy_limit": (lambda tmp_path: train_argv(
         tmp_path, {"model": {"hidden": 2**62, "heads": 1}}),
         "encoder.t.in_proj.w"),
+    "run_config_layers_past_numpy_limit": (lambda tmp_path: train_argv(
+        tmp_path, {"model": {"layers": 2**62}}), "encoder.t.layers"),
     "synth_dims_past_numpy_limit": (lambda tmp_path: train_argv(
         tmp_path, {"data": {"synth": {"dims": {"a": 2**62}}}}), "dims.a"),
     "dataset_label_past_int64": (lambda tmp_path: with_dataset(
@@ -248,6 +253,22 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, case):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert culprit in lines[0]
+
+
+def test_train_report_holds_the_holdout_score_of_each_epoch(tmp_path):
+    argv = train_argv(tmp_path, {"model": MODEL, "optim": {"epochs": 3}})
+    assert main(*argv) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    history = report["eval_history"]
+    assert [entry["epoch"] for entry in history] == [1, 2, 3]
+    assert all(set(entry) == {"epoch", "accuracy", "weighted_f1"}
+               for entry in history)
+    final = report["final"]
+    assert (history[-1]["accuracy"], history[-1]["weighted_f1"]) == (
+        final["accuracy"], final["weighted_f1"])
+    best = max(history, key=lambda entry: entry["weighted_f1"])
+    assert report["best_epoch"] == best["epoch"]
+    assert report["best_weighted_f1"] == best["weighted_f1"]
 
 
 def test_ablation_flags_are_options_of_their_sections():

@@ -1,6 +1,8 @@
 """Synthetic generator, dataset file round-trips, and batching."""
 
 import json
+import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -217,6 +219,40 @@ def test_load_reports_out_of_range_label():
         from_payload(payload)
 
 
+def test_load_peak_memory_is_under_1_6_times_file_and_arrays(tmp_path):
+    # the parser's objects for one conversation at a time, on top of the
+    # file read whole as bytes and as text: 1.45 here, 2.07 with every
+    # conversation parsed into Python floats before any became an array
+    for conversations in (20, 120):
+        path = tmp_path / f"data{conversations}.json"
+        save(generate(SynthSpec(conversations=conversations,
+                                utterances=(5, 30), seed=conversations)),
+             path)
+        tracemalloc.start()
+        try:
+            data = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(c.labels.nbytes + sum(f.nbytes
+                                           for f in c.features.values())
+                     for c in data.conversations)
+        assert peak <= 1.6 * (path.stat().st_size + arrays)
+
+
+def rejection(payload, tmp_path):
+    """The message of the DatasetError that ``from_payload`` raises on
+    ``payload``, checked to be the one ``load`` raises on it as a file."""
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DatasetError) as direct:
+        from_payload(payload)
+    with pytest.raises(DatasetError) as through_file:
+        load(path)
+    assert str(through_file.value) == str(direct.value)
+    return str(direct.value)
+
+
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -261,10 +297,14 @@ def one_utterance_payload(**fields):
     ("a", [[0.5, False]], "not lists of numbers"),
     ("labels", [10**30], f"label {10**30} outside"),  # not an OverflowError
     ("v", [[0.5, 0.5, 0.5]], r"has shape \(1, 3\), expected \(1, 2\)"),
+    # the shape is checked before the booleans
+    ("t", [[True, 0.5, 0.5]], r"has shape \(1, 3\), expected \(1, 2\)"),
+    ("vv", [[0.0, 1.0]], r"unknown keys: \['vv'\]"),
 ])
-def test_load_rejects_bad_values_naming_the_conversation(field, value, message):
-    with pytest.raises(DatasetError, match=f"conversation c7: .*{message}"):
-        from_payload(one_utterance_payload(**{field: value}))
+def test_load_rejects_bad_values_naming_the_conversation(tmp_path, field,
+                                                         value, message):
+    assert re.match(f"conversation c7: .*{message}", rejection(
+        one_utterance_payload(**{field: value}), tmp_path))
 
 
 NO_ID = object()  # an entry without an "id" key
@@ -293,10 +333,8 @@ def test_load_defaults_a_missing_id_to_the_entry_index():
     ((NO_ID, "conv0000"), "conversation 1: id 'conv0000' repeats "
                           "conversation 0"),
 ])
-def test_load_rejects_non_string_and_repeated_ids(ids, message):
-    with pytest.raises(DatasetError) as info:
-        from_payload(payload_with_ids(*ids))
-    assert str(info.value) == message
+def test_load_rejects_non_string_and_repeated_ids(tmp_path, ids, message):
+    assert rejection(payload_with_ids(*ids), tmp_path) == message
 
 
 @pytest.mark.parametrize("header, message", [
@@ -317,14 +355,14 @@ def test_load_rejects_non_string_and_repeated_ids(ids, message):
     ({"dims": 5}, "dims modalities in the dataset header must be a JSON "
                   "object, got 5"),
     ([{"num_classes": 3}], "dataset file must be a JSON object, got list"),
+    ({"dims": {"t": [[2]], "a": 2, "v": 2}}, "dims.t must be int, got [[2]]"),
+    ({"speakers": []}, "unknown dataset file keys: ['speakers']"),
 ])
-def test_load_rejects_bad_header_naming_the_field(header, message):
+def test_load_rejects_bad_header_naming_the_field(tmp_path, header, message):
     # a header that is not a dict is the whole file
     payload = ({**one_utterance_payload(), **header}
                if isinstance(header, dict) else header)
-    with pytest.raises(DatasetError) as info:
-        from_payload(payload)
-    assert message in str(info.value)
+    assert message in rejection(payload, tmp_path)
 
 
 # --- corruption sweep ---
@@ -338,6 +376,7 @@ CORRUPTIONS = (
     + [("drop header", k) for k in ("num_classes", "dims", "dims.m",
                                     "conversations")]
     + [("modality", {})]
+    + [("add", k) for k in ("vv", "speaker")]
 )
 
 
@@ -364,6 +403,8 @@ def corrupt(payload, rng, kind, value):
         entry[m] = value
     elif kind == "drop":
         del entry[m if value == "modality" else value]
+    elif kind == "add":
+        entry[value] = rows
     elif value == "dims.m":  # kind "drop header" from here on
         del payload["dims"][m]
         return None
@@ -373,7 +414,8 @@ def corrupt(payload, rng, kind, value):
     return i
 
 
-def test_corruption_sweep_raises_dataset_errors_naming_the_conversation():
+def test_corruption_sweep_raises_dataset_errors_naming_the_conversation(
+        tmp_path):
     rng = np.random.default_rng(11)
     valid = dumps(generate(small_spec(conversations=3)))
     assert len(from_payload(json.loads(valid)).conversations) == 3
@@ -381,12 +423,8 @@ def test_corruption_sweep_raises_dataset_errors_naming_the_conversation():
         for _ in range(4):
             payload = json.loads(valid)
             i = corrupt(payload, rng, kind, value)
-            try:  # any other exception type fails the test as it is
-                from_payload(payload)
-            except DatasetError as exc:
-                message = str(exc)
-            else:
-                pytest.fail(f"{kind} {value!r} loaded")
+            # any other exception type, or none, fails the test as it is
+            message = rejection(payload, tmp_path)
             if i is not None:
                 assert message.startswith((f"conversation conv{i:04d}: ",
                                            f"conversation {i}: ")), message

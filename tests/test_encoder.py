@@ -1,5 +1,6 @@
 """Transformer encoder: shapes, equivariance, attention, gradients."""
 
+import time
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -198,6 +199,20 @@ def test_layer_norm_standardizes_rows():
     out = layer_norm_rows(x, gamma, beta).data
     assert np.abs(out.mean(axis=1)).max() < 1e-6
     assert np.abs(out.var(axis=1) - 1.0).max() < 1e-6
+
+
+def test_layers_past_numpy_limit_are_refused_before_a_block_is_made():
+    # 2**62 layers of 508 entries (hidden 8, ffn 12) is past 2**60 entries
+    new = Parameters(np.random.default_rng(0))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"parameter block enc\.layers of "
+                       r"shape \(4611686018427387904, 508\) is too large"):
+        EncoderParams(3, tiny_config(layers=2**62), new, "enc")
+    assert list(new.blocks) == ["enc.in_proj.w", "enc.in_proj.b"]
+    with pytest.raises(ConfigError, match="encoder.t.layers"):
+        Model(tiny_config(layers=2**62), num_classes=3,
+              dims={"t": 6, "a": 5, "v": 4}, seed=0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_encoder_gradients_match_finite_differences():

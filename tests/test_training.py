@@ -107,6 +107,12 @@ def test_weakest_modality_never_damped():
     assert coeffs["a"] == 1.0
 
 
+@pytest.mark.parametrize("alpha", [0.1, 1.0])
+def test_modulation_jumps_just_above_the_weakest(alpha):
+    coeffs = modulation_coefficient({"m": 1 + 1e-12}, alpha=alpha)
+    assert abs(coeffs["m"] - (1.0 - math.tanh(alpha))) < 1e-12
+
+
 def test_modulation_scalar_value():
     coeffs = modulation_coefficient({"t": 3.0}, alpha=0.1)
     assert abs(coeffs["t"] - (1.0 - math.tanh(0.3))) < 1e-15
