@@ -97,13 +97,16 @@ def attention_coefficients(cores_q, cores_k):
 def pool_attention(coefficients, segments):
     """Average the per-utterance slices of each conversation of
     ``segments`` down to one r x r matrix: an (S, r, r) stack."""
+    n, r1, r2 = coefficients.shape
     inv = segments.inv_lengths[:, None, None]
 
     def backward(g):
         accumulate(coefficients, (g * inv).take(segments.ids, axis=0))
 
-    return Tensor._op(segments.pad(coefficients.data).sum(axis=1) * inv,
-                      (coefficients,), backward)
+    # one row of r1 * r2 entries per utterance, as Segments.pad takes rows
+    sums = segments.pad(coefficients.data.reshape(n, r1 * r2)).sum(axis=1)
+    return Tensor._op(sums.reshape(-1, r1, r2) * inv, (coefficients,),
+                      backward)
 
 
 def feature_attention(coefficients, pooled, out_map, segments,
@@ -128,8 +131,9 @@ def feature_attention(coefficients, pooled, out_map, segments,
 
     def factor_grad(x, g_x):
         """Each conversation's sum of x_row^T g_row over its rows."""
-        return (segments.pad(x).reshape(s, -1, r2).swapaxes(1, 2)
-                @ segments.pad(g_x).reshape(s, -1, r2))
+        return (segments.pad(x.reshape(n, -1)).reshape(s, -1, r2)
+                .swapaxes(1, 2)
+                @ segments.pad(g_x.reshape(n, -1)).reshape(s, -1, r2))
 
     def backward(g):
         accumulate(out_map, flat.T @ g)

@@ -1,22 +1,28 @@
 """The assembled model: encoders, feature weighting, fusion, classifier.
 
 One ``Model`` owns every parameter block. One ``tensor.Parameters`` makes
-them, each under its name, encoders first; the order it makes them in is
-the order of the seeded draws, of the registry and of the checkpoint
-layout. They are held in that order in one flat float64 vector ``theta``;
-their gradients fill a second vector ``grad``. Each block's ``data`` and ``grad`` are views of its slice, and
-``layout`` lists each block's name, shape and byte offset in ``theta``.
-A checkpoint is ``theta`` under a header whose tensor list is ``layout``
-and whose metadata holds ``ModelConfig``'s fields; ``load`` refuses any
-other option, and a list that differs from the layout its metadata gives,
-naming the first entry that differs. Each
-modality's encoder blocks form one slice (``encoder_spans``) because the
-balance optimizer treats them differently from everything else (they alone
-receive modulated, optionally noisy updates). The forward pass works for
-any nonempty modality subset: excluded modalities simply drop out of the
-contraction chain, the fusion sum, and the modality count. It runs a
-pack of conversations stacked row-wise and described by a
-``tensor.Segments``, one conversation being a pack of one;
+them, each under its name, encoders first, in the order of the seeded
+draws. They are held in one flat float64 vector ``theta``, their
+gradients in a second vector ``grad``, with the in-projections moved to
+the front: every modality's in-projection, then every layer block of t, of
+a and of v, then AFW, the fusion head and the classifier. So the
+modalities' layer blocks form one C-contiguous (3, layers * layer size)
+matrix, and each layer block of a modality subset is one strided view of
+it (``encoder.EncoderStack``, built once per subset). Each block's
+``data`` and ``grad`` are views of its slice; the registry
+(``named_parameters``) and ``layout``, each block's name, shape and byte
+offset, follow ``theta``'s order. A checkpoint is ``theta`` under a header
+whose tensor list is ``layout`` and whose metadata holds ``ModelConfig``'s
+fields; ``load`` refuses any other option, and a list that differs from
+the layout its metadata gives (one in the order the blocks are made, say),
+naming the first entry that differs. Each modality's encoder blocks form
+two slices, its in-projection and its layer row (``encoder_spans``),
+because the balance optimizer treats them differently from everything
+else (they alone receive modulated, optionally noisy updates). The forward
+pass works for any nonempty modality subset: excluded modalities simply
+drop out of the encoder stack, the contraction chain, the fusion sum, and
+the modality count. It runs a pack of conversations stacked row-wise and
+described by a ``tensor.Segments``, one conversation being a pack of one;
 ``encoder_grad_rows`` gives the views through which a pack's encoder nodes
 write each conversation's encoder gradient into a row of one matrix.
 """
@@ -29,7 +35,7 @@ import numpy as np
 from . import feature_weighting as afw
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import MODALITIES, parse_modalities
-from .encoder import EncoderParams, encode
+from .encoder import EncoderParams, EncoderStack, encode, layer_views
 from .errors import (CheckpointError, ConfigError, ShapeError, check_fields,
                      check_keys, check_value)
 from .modality_weighting import (
@@ -39,6 +45,27 @@ from .modality_weighting import (
     fuse_modalities,
 )
 from .tensor import Parameters, Segments, Tensor
+
+
+def _theta_region(name):
+    """Rank of the region of ``theta`` that holds block ``name``: every
+    in-projection, then each modality's layer blocks in ``MODALITIES``
+    order, then everything else (within a region, blocks keep the order
+    they are made in)."""
+    kind, _, rest = name.partition(".")
+    if kind != "encoder":
+        return len(MODALITIES) + 1
+    m, _, key = rest.partition(".")
+    return 0 if key.startswith("in_proj.") else 1 + MODALITIES.index(m)
+
+
+def _subset_rows(active):
+    """The basic slice of the layer matrix's rows that holds the subset
+    ``active`` (in ``MODALITIES`` order): of three modalities, every
+    nonempty subset is an arithmetic run (0:3, 0:2, 1:3, 0:3:2, m:m+1)."""
+    index = [MODALITIES.index(m) for m in active]
+    step = index[1] - index[0] if len(index) > 1 else 1
+    return slice(index[0], index[-1] + 1, step)
 
 
 @dataclass(frozen=True)
@@ -105,15 +132,11 @@ class Model:
         self.config = config
         self.num_classes = num_classes
         self.dims = {m: int(dims[m]) for m in MODALITIES}
-        # blocks are made, and so seeded and laid out, encoders first
+        # blocks are made, and so seeded, encoders first
         new = Parameters(np.random.default_rng(seed))
-        self.encoders, self.encoder_spans = {}, {}
-        for m in MODALITIES:
-            start = new.size
-            self.encoders[m] = EncoderParams(self.dims[m], config, new,
-                                             f"encoder.{m}")
-            self.encoder_spans[m] = slice(start, new.size)
-        self.encoder_size = new.size
+        self.encoders = {m: EncoderParams(self.dims[m], config, new,
+                                          f"encoder.{m}")
+                         for m in MODALITIES}
         self.afw_params = {
             m: afw.FeatureWeightParams(config.hidden, config.rank, new,
                                        f"afw.{m}")
@@ -122,20 +145,38 @@ class Model:
         self.head = FusionHead(config.hidden, num_classes, new, "head")
         self.classifier = ClassifierParams(num_classes, 2 * num_classes, new,
                                            "classifier")
-        # copy the blocks into theta and make each data and grad a view of
-        # its slice of theta and grad (rebinding one later would detach it)
-        self._registry = new.blocks
-        blocks = list(new.blocks.values())
+        # copy the blocks into theta in its order and make each data and
+        # grad a view of its slice of theta and grad (rebinding one later
+        # would detach it)
+        self._registry = {name: new.blocks[name]
+                          for name in sorted(new.blocks, key=_theta_region)}
+        blocks = list(self._registry.values())
         self.offsets = np.cumsum([0] + [p.data.size for p in blocks])
         self.theta = np.concatenate([p.data.ravel() for p in blocks])
         self.grad = np.zeros_like(self.theta)
         self.layout = [{"name": name, "shape": list(p.data.shape),
                         "offset": 8 * int(start)}
-                       for (name, p), start in zip(new.blocks.items(),
+                       for (name, p), start in zip(self._registry.items(),
                                                    self.offsets)]
         for p, start, stop in zip(blocks, self.offsets, self.offsets[1:]):
             p.data = self.theta[start:stop].reshape(p.data.shape)
             p.grad = self.grad[start:stop].reshape(p.data.shape)
+        # theta opens with the in-projections, then the (3, row) matrix
+        # of the modalities' layer blocks
+        bounds = np.cumsum([0] + [enc.w_in.data.size + enc.b_in.data.size
+                                  for enc in self.encoders.values()]).tolist()
+        first = bounds[-1]
+        row = sum(p.data.size for block in self.encoders["t"].blocks
+                  for p in block.values())
+        self.encoder_size = first + len(MODALITIES) * row
+        self.encoder_spans = {
+            m: (slice(bounds[i], bounds[i + 1]),
+                slice(first + i * row, first + (i + 1) * row))
+            for i, m in enumerate(MODALITIES)}
+        self._layer_span = slice(first, self.encoder_size)
+        self._layer_rows = [v[self._layer_span].reshape(len(MODALITIES), row)
+                            for v in (self.theta, self.grad)]
+        self._stacks = {}
 
     # --- parameter registry ---
 
@@ -152,16 +193,38 @@ class Model:
         return list(self._registry)[
             np.searchsorted(self.offsets, index, "right") - 1]
 
-    def encoder_grad_rows(self, rows):
-        """Map each encoder block to a (len(rows), *shape) view of its
+    def encoder_stack(self, active):
+        """The ``encoder.EncoderStack`` of the subset ``active`` (in
+        ``MODALITIES`` order), built on its first use: its layer leaves are
+        views of the subset's rows of the layer matrix."""
+        stack = self._stacks.get(active)
+        if stack is None:
+            rows = _subset_rows(active)
+            theta_rows, grad_rows = (v[rows] for v in self._layer_rows)
+            stack = self._stacks[active] = EncoderStack(
+                active, self.encoders, self.config, theta_rows, grad_rows)
+        return stack
+
+    def encoder_grad_rows(self, rows, active):
+        """Map each encoder leaf of ``active``'s stack to a view of its
         columns of ``rows``, a (B, encoder_size) matrix laid out as the
-        front of ``grad``; row i of a view is conversation i's gradient."""
+        front of ``grad``: (B, *shape) for an in-projection block, (B, M,
+        *shape) for a stacked layer block. Row i of a view is conversation
+        i's gradient."""
+        active = parse_modalities(active)
+        stack = self.encoder_stack(active)
+        b = len(rows)
         views = {}
-        for p, start, stop in zip(self._registry.values(), self.offsets,
-                                  self.offsets[1:]):
-            if stop > self.encoder_size:
-                break
-            views[p] = rows[:, start:stop].reshape(len(rows), *p.data.shape)
+        for m, (w, bias) in zip(active, stack.in_proj):
+            span = self.encoder_spans[m][0]
+            split = span.start + w.data.size
+            views[w] = rows[:, span.start:split].reshape(b, *w.shape)
+            views[bias] = rows[:, split:span.stop]
+        layers = rows[:, self._layer_span].reshape(b, len(MODALITIES), -1)
+        for block, row_block in zip(stack.blocks, layer_views(
+                layers[:, _subset_rows(active)], self.config)):
+            for key, leaf in block.items():
+                views[leaf] = row_block[key]
         return views
 
     # --- forward ---
@@ -208,7 +271,7 @@ class Model:
             if not n:
                 raise ShapeError(f"modality {m!r} has no rows")
         segments = segments or Segments([n])
-        z = {m: encode(features[m], self.encoders[m], segments) for m in active}
+        z = encode(features, self.encoder_stack(active), segments)
         if self.config.disable_afw:
             state = None
             balanced = z

@@ -27,9 +27,13 @@ Each graph node costs Python overhead and keeps its forward arrays until
 the backward reaches it, so the hot layers are single fused nodes with a
 hand-written backward. Here: ``linear``; ``feed_forward`` (linear, ReLU,
 linear, keeping only the rectified hidden rows); and ``layer_norm_rows``,
-which can take the residual add before it. Self-attention, the
-tensor-ring steps, cosine fusion, cross-entropy and the total loss are
-fused in the modules that own them; ``Tensor`` itself has no arithmetic.
+which can take the residual add before it. Each also runs an (M, n, w)
+stack of row matrices with (M, ...) parameters, matrix i with parameters
+i, in one node (the encoder runs its modalities' layers so); their rows
+are always on axis -2, and so are those ``Segments.pad`` and
+``accumulate_params`` reduce over. Self-attention, the tensor-ring steps,
+cosine fusion, cross-entropy and the total loss are fused in the modules
+that own them; ``Tensor`` itself has no arithmetic.
 """
 
 import itertools
@@ -107,23 +111,28 @@ class Segments:
         return (g * self.inv_lengths).take(self.ids)[:, None]
 
     def pad(self, values):
-        """(S, longest, ...) stack of each conversation's rows of
-        ``values``, zero-filled past its length, so that one reduction
-        over axis 1 (a sum, or a batched matmul) gives every
-        conversation's own; the trailing zeros add nothing.
+        """(S, ..., longest, w) stack of each conversation's rows of
+        ``values``, an (..., N, w) array with its rows on axis -2 (one
+        (N, w) matrix per modality of a leading axis, say), zero-filled past
+        each conversation's length, so that one reduction over axis -2 (a
+        sum, or a batched matmul) gives every conversation's own; the
+        trailing zeros add nothing.
 
         A lone conversation has no padding: its stack is the view
         ``values[None]``, so callers only read the stack."""
         if len(self) == 1:
             return values[None]
-        stack = np.zeros((len(self), self._longest) + values.shape[1:])
-        stack[self._place] = values
+        stack = np.zeros((len(self),) + values.shape[:-2]
+                         + (self._longest, values.shape[-1]))
+        ids, place = self._place
+        stack[ids, ..., place, :] = values.swapaxes(0, -2)
         return stack
 
 
 def accumulate_params(params, grads_of, arrays, segments=None):
     """Pass on the gradients of ``params``, which ``grads_of(*arrays)``
-    computes (one per parameter) from row arrays, reducing over axis -2.
+    computes (one per parameter) from row arrays, reducing over axis -2;
+    any axes before it (a leading modality axis) are carried through.
 
     Without per-conversation rows for ``params`` in ``segments``, it runs
     on the arrays as they are and feeds ``accumulate``. With them, it runs
@@ -142,7 +151,8 @@ def accumulate_params(params, grads_of, arrays, segments=None):
 
 def affine_grads(x, g):
     """Gradients of the weight and bias of ``x @ w + b`` given ``g`` at its
-    output, over the rows (axis -2) of ``x`` and ``g``."""
+    output, over the rows (axis -2) of ``x`` and ``g``, for each index of
+    any axes before them."""
     return x.swapaxes(-1, -2) @ g, g.sum(axis=-2)
 
 
@@ -292,10 +302,11 @@ def linear(x, w, b, segments=None):
 
     def backward(g):
         if x.requires_grad:
-            accumulate(x, g @ w.data.T)
+            accumulate(x, g @ w.data.swapaxes(-1, -2))
         accumulate_params((w, b), affine_grads, (x.data, g), segments)
 
-    return Tensor._op(x.data @ w.data + b.data, (x, w, b), backward)
+    return Tensor._op(x.data @ w.data + b.data[..., None, :], (x, w, b),
+                      backward)
 
 
 def feed_forward(x, w1, b1, w2, b2, segments=None):
@@ -308,18 +319,19 @@ def feed_forward(x, w1, b1, w2, b2, segments=None):
     entry, so values and gradients are bit for bit those of ``linear``,
     ReLU and ``linear`` as three nodes.
     """
-    h = x.data @ w1.data + b1.data
+    h = x.data @ w1.data + b1.data[..., None, :]
     np.maximum(h, 0.0, out=h)
 
     def backward(g):
         accumulate_params((w2, b2), affine_grads, (h, g), segments)
-        g_pre = g @ w2.data.T
+        g_pre = g @ w2.data.swapaxes(-1, -2)
         g_pre *= h > 0.0
         if x.requires_grad:
-            accumulate(x, g_pre @ w1.data.T)
+            accumulate(x, g_pre @ w1.data.swapaxes(-1, -2))
         accumulate_params((w1, b1), affine_grads, (x.data, g_pre), segments)
 
-    return Tensor._op(h @ w2.data + b2.data, (x, w1, b1, w2, b2), backward)
+    return Tensor._op(h @ w2.data + b2.data[..., None, :],
+                      (x, w1, b1, w2, b2), backward)
 
 
 LN_EPS = 1e-6  # layer norm's variance offset and floor (layer_norm_rows)
@@ -341,11 +353,12 @@ def layer_norm_rows(x, gamma, beta, segments=None, residual=None):
     """
     inputs = (x,) if residual is None else (x, residual)
     rows = x.data if residual is None else x.data + residual.data
+    gamma_rows = gamma.data[..., None, :]
     # sum / width is what ndarray.mean computes, without its Python overhead
-    width = rows.shape[1]
-    mu = rows.sum(axis=1, keepdims=True) / width
+    width = rows.shape[-1]
+    mu = rows.sum(axis=-1, keepdims=True) / width
     centered = rows - mu
-    var = (centered * centered).sum(axis=1, keepdims=True) / width
+    var = (centered * centered).sum(axis=-1, keepdims=True) / width
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     standardized = centered * inv_std
 
@@ -355,13 +368,13 @@ def layer_norm_rows(x, gamma, beta, segments=None, residual=None):
             (gamma, beta), lambda sg, g: (sg.sum(axis=-2), g.sum(axis=-2)),
             (scaled, g), segments)
         if any(t.requires_grad for t in inputs):
-            gg = g * gamma.data
-            gg_mean = gg.sum(axis=1, keepdims=True) / width
-            proj = (gg * standardized).sum(axis=1, keepdims=True) / width
+            gg = g * gamma_rows
+            gg_mean = gg.sum(axis=-1, keepdims=True) / width
+            proj = (gg * standardized).sum(axis=-1, keepdims=True) / width
             g_rows = inv_std * (gg - gg_mean - standardized * proj)
             g_rows *= var > LN_EPS
             for t in inputs:
                 accumulate(t, g_rows)
 
-    return Tensor._op(standardized * gamma.data + beta.data,
+    return Tensor._op(standardized * gamma_rows + beta.data[..., None, :],
                       (*inputs, gamma, beta), backward)

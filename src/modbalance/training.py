@@ -8,27 +8,33 @@ get their encoder updates damped by 1 - tanh(alpha * ratio), optionally
 with zero-mean Gaussian noise whose per-parameter scale is estimated from
 the gradient spread inside the minibatch. All non-encoder parameters take
 plain SGD steps. All of it is vector arithmetic on the model's flat
-``theta`` and ``grad`` and their per-modality ``encoder_spans``, never a
+``theta`` and ``grad`` and their per-modality ``encoder_spans`` (two per
+modality: its in-projection and its row of the layer matrix), never a
 loop over parameter blocks.
 
 A step does not build a graph per conversation. It splits the minibatch
 into packs of consecutive conversations (at most ``PACK_ROWS`` utterances
 each, as Krell et al. pack sequences, arXiv:2107.02027), stacks each
 pack's utterances row-wise, and runs one forward and one backward per
-pack. The non-encoder gradients accumulate in ``model.grad``. When noise
+pack, the encoder layers of all active modalities stacked in one set of
+nodes. The non-encoder gradients accumulate in ``model.grad``. When noise
 is drawn, the encoder nodes write each conversation's encoder gradient
 into its row of one (largest batch, encoder_size) matrix that ``train``
 allocates once; otherwise they too accumulate in ``model.grad``. Each row
 is written once per step, so it is never zeroed; only the columns of
-inactive modalities, which no node writes, are set to zero.
+inactive modalities (their two spans), which no node writes, are set to
+zero.
 
 So a step is: ``backward_batch`` (every pack's forward and backward, then
 the sum of any rows into ``model.grad``), ``_noise_std`` (a
 DivergenceError on a non-finite gradient, else each active modality's
-noise scale, taken in place on its columns of the rows, which are scratch
-afterwards), then ``apply_update``, the step, which draws the noise's
-standard normals from ``train``'s generator where it uses them: one draw
-per active span per step, in ``MODALITIES`` order.
+noise scale, one per span, taken in place on its columns of the rows,
+which are scratch afterwards), then ``apply_update``, the step, which
+draws the noise's standard normals from ``train``'s generator where it
+uses them: one draw per active modality per step, in ``MODALITIES`` order,
+split across its two spans, so each normal lands on the parameter it
+would reach if the modality's encoder blocks were laid out together in
+the order they are made.
 """
 
 import logging
@@ -50,18 +56,18 @@ SCORE_FLOOR = 1e-12
 
 PACK_ROWS = 160
 """Most utterances one training graph holds (unless one conversation has
-more). On a shared 2-core VM (1 BLAS thread, default model, gradient rows
-on) a one-conversation ``backward_batch`` takes about 1.46 ms per pack
-plus 26 us per row up to 60 rows (p50 1.58 ms at 3 rows, 3.07 ms at 60);
-self-attention's square cost makes longer ones dearer (7.4 ms at 128 rows,
-10.4 ms at 160). So a short conversation alone is almost all fixed cost,
-and fewer packs per step are faster. On ``train_long`` (conversations of
-20-100 utterances, batches of 10) a step runs 5.37 packs at 128 rows, 56%
-of them a single conversation, and 4.11 at 160 rows (25%). The price is
-graph memory: a one-conversation graph holds 6.65 MB at 128 rows and
-9.23 MB at 160 (tracemalloc, forward and losses, before the backward);
-ROADMAP's perf notes weigh larger packs against the benchmark's peak
-RSS."""
+more). On a shared 2-core VM (1 BLAS thread, default model, three
+modalities, gradient rows on; medians of 6 processes, measured with the
+stacked encoder) a one-conversation ``backward_batch`` takes 1.52 ms at 3
+rows, 1.77 at 11, 2.36 at 30 and 4.48 at 60; self-attention's square
+cost makes longer ones dearer (10.1 ms at 128 rows, 15.4 at 160). So a
+short conversation alone is mostly fixed cost, and fewer packs per step
+are faster. On ``train_long`` (conversations of 20-100 utterances,
+batches of 10) a step runs 5.37 packs at 128 rows, 56% of them a single
+conversation, and 4.11 at 160 rows (25%). The price is graph memory: a
+one-conversation graph holds 6.76 MB at 128 rows and 9.38 MB at 160
+(tracemalloc, forward and losses, before the backward); ROADMAP's perf
+notes weigh larger packs against the benchmark's peak RSS."""
 
 TRACE_COLUMNS = (("s", "scores"), ("rho", "ratios"), ("k", "coefficients"),
                  ("wnorm", "weight_norms"))
@@ -169,20 +175,25 @@ def modulation_coefficient(ratios, alpha):
 def apply_update(model, grads, eta, k=None, noise_std=None, rng=None):
     """SGD step on ``model.theta``: theta <- theta - eta*g*k + eta*noise.
 
-    ``k`` maps modalities to the coefficient of their encoder span, and
-    ``noise_std`` (optional) to per-parameter standard deviations there;
-    the noise is then one standard normal per parameter of the span, drawn
-    from ``rng`` in ``k``'s order, times that deviation. All else takes
-    plain SGD steps. With k=1 and no noise this is bit-identical to
-    vanilla SGD. ``grads`` must be finite (``_noise_std`` checks it).
+    ``k`` maps modalities to the coefficient of their encoder spans (the
+    in-projection and the layer row), and ``noise_std`` (optional) to
+    per-parameter standard deviations there, one array per span; the noise
+    is then one standard normal per encoder parameter of the modality,
+    drawn from ``rng`` at once in ``k``'s order and split across the two
+    spans in order, times that deviation. All else takes plain SGD steps.
+    With k=1 and no noise this is bit-identical to vanilla SGD. ``grads``
+    must be finite (``_noise_std`` checks it).
     """
     step = eta * grads
     for m, k_m in (k or {}).items():
-        span = model.encoder_spans[m]
-        step[span] *= k_m
+        spans = model.encoder_spans[m]
+        for span in spans:
+            step[span] *= k_m
         if noise_std is not None:
-            step[span] -= eta * (rng.standard_normal(span.stop - span.start)
-                                 * noise_std[m])
+            sizes = [span.stop - span.start for span in spans]
+            noise = np.split(rng.standard_normal(sum(sizes)), sizes[:1])
+            for span, part, std in zip(spans, noise, noise_std[m]):
+                step[span] -= eta * (part * std)
     model.theta -= step
 
 
@@ -246,8 +257,9 @@ def backward_batch(model, batch, conv_grads=None, active=MODALITIES, step=0):
     if conv_grads is not None:
         for m in MODALITIES:
             if m not in active:
-                conv_grads[:len(batch), model.encoder_spans[m]] = 0.0
-        row_views = model.encoder_grad_rows(conv_grads[:len(batch)])
+                for span in model.encoder_spans[m]:
+                    conv_grads[:len(batch), span] = 0.0
+        row_views = model.encoder_grad_rows(conv_grads[:len(batch)], active)
     score_logits = {m: [] for m in active}
     labels, terms = [], []
     first = 0
@@ -273,7 +285,8 @@ def backward_batch(model, batch, conv_grads=None, active=MODALITIES, step=0):
 
 def _noise_std(model, batch, conv_grads, active, step):
     """Check a step's gradients, then return each active modality's
-    per-parameter noise scale, or None when ``conv_grads`` is None.
+    per-parameter noise scale, one array per span of ``encoder_spans``, or
+    None when ``conv_grads`` is None.
 
     ``conv_grads`` holds the batch's per-conversation encoder gradient
     rows, which exist exactly when noise is drawn. A non-finite entry of
@@ -289,7 +302,7 @@ def _noise_std(model, batch, conv_grads, active, step):
     mean is ``model.grad`` (the rows' sum in row order) over B, then
     subtract, square, sum the rows, divide by B - 1 and take the square
     root. So it is bit for bit ``rows[:, span].std(axis=0, ddof=1) /
-    sqrt(B)``, without its (B, P_m) temporary.
+    sqrt(B)`` for each span, without its (B, P) temporary.
     """
     rows = None if conv_grads is None else conv_grads[:len(batch)]
     finite = np.isfinite(model.grad)
@@ -301,21 +314,21 @@ def _noise_std(model, batch, conv_grads, active, step):
                               f"{model.block_name(finite.argmin())}")
     if rows is None:
         return None
-    spans = {m: model.encoder_spans[m] for m in active}
     b = len(rows)
-    if b == 1:
-        return {m: np.zeros(span.stop - span.start)
-                for m, span in spans.items()}
-    scale = {}
-    for m, span in spans.items():
-        centered = rows[:, span]
-        centered -= model.grad[span] / b
-        np.square(centered, out=centered)
-        std = centered.sum(axis=0)
-        std /= b - 1
-        np.sqrt(std, out=std)
-        std /= np.sqrt(b)
-        scale[m] = std
+    scale = {m: [] for m in active}
+    for m in active:
+        for span in model.encoder_spans[m]:
+            if b == 1:
+                std = np.zeros(span.stop - span.start)
+            else:
+                centered = rows[:, span]
+                centered -= model.grad[span] / b
+                np.square(centered, out=centered)
+                std = centered.sum(axis=0)
+                std /= b - 1
+                np.sqrt(std, out=std)
+                std /= np.sqrt(b)
+            scale[m].append(std)
     return scale
 
 

@@ -64,14 +64,64 @@ def _save_with_model_meta(path, model, **options):
 REFERENCE = Model(SMALL, num_classes=3, dims=DIMS, seed=5)  # read only
 
 
+def made_order(model):
+    """The block names of ``model`` in the order they are made (and so
+    seeded): each modality's encoder, t, a, v, then everything else."""
+    names = list(model.named_parameters())
+    encoders = [n for m in ("t", "a", "v") for n in names
+                if n.startswith(f"encoder.{m}.")]
+    return encoders + [n for n in names if n not in encoders]
+
+
 def test_initial_parameters_and_layout_are_pinned():
-    # the seeded draws and the checkpoint layout both follow the order the
-    # blocks are made in; hashes taken with numpy 2.4.6
+    # hashes taken with numpy 2.4.6. The blocks concatenated in the order
+    # they are made hash as theta did when it was laid out in that order,
+    # so the seeded draws are those of that layout; theta and the layout
+    # are pinned in their own order, in-projections first
     model = Model(ModelConfig(), 7, {"t": 16, "a": 12, "v": 12}, seed=0)
-    assert hashlib.sha256(model.theta.tobytes()).hexdigest() == (
+    params = model.named_parameters()
+    made = np.concatenate([params[n].data.ravel() for n in made_order(model)])
+    assert hashlib.sha256(made.tobytes()).hexdigest() == (
         "4828566410447e38460c681515a92f569b12716af7d25fc44e35c01fe078adb8")
+    assert hashlib.sha256(model.theta.tobytes()).hexdigest() == (
+        "00ac59cc938169b543805a2124f647bf6ec86c645df3c136d84e19c4de0b8243")
     assert hashlib.sha256(json.dumps(model.layout).encode()).hexdigest() == (
-        "2186f94779a03ee57c2279a26daab0cd024afba82999a6f9b0aaab42b8058963")
+        "3a09cf74a2cc3064ff38d0721a33c02d9f7ff08aeba7cc2170e167bcae27a02a")
+    assert [entry["name"] for entry in model.layout[:7]] == [
+        "encoder.t.in_proj.w", "encoder.t.in_proj.b", "encoder.a.in_proj.w",
+        "encoder.a.in_proj.b", "encoder.v.in_proj.w", "encoder.v.in_proj.b",
+        "encoder.t.block0.wq"]
+
+
+def test_layer_blocks_of_the_modalities_form_one_matrix():
+    # row i of the (3, layers * layer size) matrix after the in-projections
+    # is modality i's layer blocks, each block's rows a strided view
+    model = Model(ModelConfig(hidden=8, rank=2, layers=2, heads=2, ffn=12),
+                  num_classes=3, dims=DIMS, seed=5)
+    params = model.named_parameters()
+    in_proj, layers = zip(*(model.encoder_spans[m] for m in ("t", "a", "v")))
+    assert in_proj[0].start == 0 and layers[-1].stop == model.encoder_size
+    for before, after in zip(in_proj + layers, (in_proj + layers)[1:]):
+        assert before.stop == after.start
+    for m, span in zip(("t", "a", "v"), layers):
+        blocks = [params[n].data.ravel() for n in made_order(model)
+                  if n.startswith(f"encoder.{m}.block")]
+        assert np.array_equal(model.theta[span], np.concatenate(blocks))
+    stack = model.encoder_stack(("t", "v"))
+    wq = stack.blocks[1]["wq"]
+    assert wq.data.shape == (2, 8, 8)
+    assert np.shares_memory(wq.data, model.theta)
+    assert np.array_equal(wq.data[1], params["encoder.v.block1.wq"].data)
+    assert model.encoder_stack(("t", "v")) is stack  # built once
+
+
+def test_block_name_names_each_block_at_both_ends():
+    names = [entry["name"] for entry in REFERENCE.layout]
+    ends = REFERENCE.offsets
+    for name, start, stop in zip(names, ends, ends[1:]):
+        assert REFERENCE.block_name(start) == name
+        assert REFERENCE.block_name(stop - 1) == name
+    assert ends[-1] == REFERENCE.theta.size
 
 
 def _model_file(edit=lambda tensors: None, extra=b""):
@@ -132,8 +182,8 @@ MODEL_FAULTS = {
         f"{REFERENCE.theta.size}")),
     # same-shape blocks: without the layout check each would load the
     # other's values
-    "swapped_names": (_model_file(_swap_names(2, 3)), re.escape(
-        "tensor entry 2 is {'name': 'encoder.t.block0.wk'")),
+    "swapped_names": (_model_file(_swap_names(6, 7)), re.escape(
+        "tensor entry 6 is {'name': 'encoder.t.block0.wk'")),
 }
 
 MALFORMED = {**FILE_FAULTS,
@@ -193,7 +243,7 @@ def test_model_load_refuses_non_finite_parameters(tmp_path, block, value):
     model.named_parameters()["classifier.b2"].data.flat[0] = float("nan")
     path = tmp_path / "model.bin"
     model.save(path)
-    # the first non-finite block in registry order is named
+    # the first non-finite block in theta's order is named
     with pytest.raises(CheckpointError, match=re.escape(
             f"{path}: {block} holds a non-finite value")):
         Model.load(path)
@@ -208,6 +258,26 @@ def test_model_load_rejects_mismatched_names(tmp_path):
     save_checkpoint(path, model.theta, tensors, _model_meta(model))
     with pytest.raises(CheckpointError, match=re.escape(
             f"{path}: tensor entry {index} is ") + ".*'head.b'"):
+        Model.load(path)
+
+
+def test_model_load_refuses_the_modality_by_modality_layout(tmp_path):
+    # a checkpoint laid out in the order the blocks are made (each
+    # modality's in-projection before its layers) holds the same blocks
+    # in another order; it is refused, naming the first entry that differs
+    params = REFERENCE.named_parameters()
+    names = made_order(REFERENCE)
+    sizes = [params[n].data.size for n in names]
+    offsets = np.cumsum([0] + sizes[:-1])
+    tensors = [{"name": n, "shape": list(params[n].data.shape),
+                "offset": 8 * int(offset)} for n, offset in zip(names, offsets)]
+    values = np.concatenate([params[n].data.ravel() for n in names])
+    path = tmp_path / "old_layout.bin"
+    save_checkpoint(path, values, tensors, _model_meta(REFERENCE))
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: tensor entry 2 is {{'name': 'encoder.t.block0.wq'")
+            + ".*the model expects " + re.escape(
+                "{'name': 'encoder.a.in_proj.w'")):
         Model.load(path)
 
 

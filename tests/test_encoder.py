@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from modbalance import encoder
-from modbalance.encoder import EncoderParams, encode
+from modbalance.dataset import MODALITIES
+from modbalance.encoder import EncoderParams, encode, layer_blocks
 from modbalance.errors import ConfigError, ShapeError
 from modbalance.model import Model, ModelConfig
 from modbalance.tensor import (
@@ -18,11 +19,16 @@ from modbalance.tensor import (
     accumulate_params,
     affine_grads,
     layer_norm_rows,
+    no_grad,
     softmax_array,
     softmax_vjp,
 )
 
 from conftest import assert_grad_matches, project
+
+DIMS = {"t": 5, "a": 4, "v": 3}
+SUBSETS = [("t",), ("a",), ("v",), ("t", "a"), ("t", "v"), ("a", "v"),
+           ("t", "a", "v")]
 
 
 def tiny_config(**overrides):
@@ -31,9 +37,23 @@ def tiny_config(**overrides):
     return ModelConfig(**base)
 
 
-def make_params(input_dim=5, seed=0, **overrides):
-    return EncoderParams(input_dim, tiny_config(**overrides),
-                         Parameters(np.random.default_rng(seed)), "enc")
+def tiny_model(seed=0, **overrides):
+    return Model(tiny_config(**overrides), num_classes=3, dims=DIMS,
+                 seed=seed)
+
+
+def features_of(rng, n):
+    return {m: rng.standard_normal((n, d)) for m, d in DIMS.items()}
+
+
+def stacked_block(rng, m=3, hidden=8, heads=2):
+    """Standalone (m, *shape) leaves for the blocks of one encoder layer,
+    matrix i of each a modality's block; contiguous, so finite differences
+    can perturb them in place."""
+    return {key: Tensor(rng.standard_normal((m,) + shape)
+                        / np.sqrt(shape[0]), requires_grad=True)
+            for key, shape, _ in layer_blocks(tiny_config(hidden=hidden,
+                                                          heads=heads))}
 
 
 def test_config_rejects_bad_head_split():
@@ -70,10 +90,13 @@ def test_config_is_frozen():
 
 
 def test_output_shape_and_dim_check():
-    params = make_params()
+    model = tiny_model()
     rng = np.random.default_rng(1)
-    z = encode(rng.standard_normal((6, 5)), params, Segments([6]))
-    assert z.shape == (6, 8)
+    z = encode(features_of(rng, 6), model.encoder_stack(MODALITIES),
+               Segments([6]))
+    assert list(z) == list(MODALITIES)
+    for m in MODALITIES:
+        assert z[m].shape == (6, 8)
 
 
 @pytest.mark.parametrize("edit, culprit", [
@@ -144,51 +167,78 @@ def test_forward_refuses_a_bad_subset(active):
         model.forward(features, active)
 
 
-def collect_attention(monkeypatch):
-    """Record the attention weights each encoder layer computes."""
-    collected = []
-    original = encoder.softmax_array
-
-    def recording_softmax(*args, **kwargs):
-        weights = original(*args, **kwargs)
-        collected.append(weights)
-        return weights
-
-    monkeypatch.setattr(encoder, "softmax_array", recording_softmax)
-    return collected
-
-
-def test_single_utterance_attends_to_itself(monkeypatch):
-    params = make_params()
+def test_single_utterance_attends_to_itself():
+    # the softmax over one score is 1, so a one-utterance conversation's
+    # attention is its own value row through the output projection, in
+    # every modality, alone and in a pack
     rng = np.random.default_rng(2)
-    collected = collect_attention(monkeypatch)
-    z = encode(rng.standard_normal((1, 5)), params, Segments([1]))
-    assert z.shape == (1, 8)
-    assert len(collected) == 1
-    for weights in collected:  # one (heads, n, n) stack per layer
-        assert weights.shape == (2, 1, 1)
-        assert np.abs(weights - 1.0).max() < 1e-12
+    block = stacked_block(rng)
+    for lengths in ((1,), (3, 1, 2)):
+        x = rng.standard_normal((3, sum(lengths), 8))
+        segments = Segments(lengths)
+        out = encoder._self_attention(Tensor(x), block, 2, segments).data
+        alone = segments.slices[lengths.index(1)]
+        expected = (x[:, alone] @ block["wv"].data @ block["wo"].data
+                    + block["bo"].data[:, None])
+        assert np.abs(out[:, alone] - expected).max() < 1e-12
 
 
-def test_attention_rows_sum_to_one(monkeypatch):
-    params = make_params(layers=2)
+def test_attention_rows_sum_to_one():
+    # every utterance's value row is the same c (wv reads only columns
+    # where x is constant) while queries and keys vary, so with wo = I and
+    # bo = 0 each head's output is (sum_j w_ij) c: it is c exactly when
+    # every row of attention weights sums to one
     rng = np.random.default_rng(3)
-    collected = collect_attention(monkeypatch)
-    encode(rng.standard_normal((7, 5)), params, Segments([7]))
-    assert len(collected) == 2  # one stack per layer
-    for weights in collected:
-        assert weights.shape == (2, 7, 7)
-        assert np.abs(weights.sum(axis=2) - 1.0).max() < 1e-9
+    block = stacked_block(rng)
+    block["wo"].data[...] = np.eye(8)
+    block["bo"].data[...] = 0.0
+    block["wv"].data[:, :4] = 0.0
+    for lengths in ((7,), (3, 4)):
+        x = rng.standard_normal((3, sum(lengths), 8))
+        x[..., 4:] = rng.standard_normal((3, 1, 4))
+        values = x @ block["wv"].data
+        out = encoder._self_attention(Tensor(x), block, 2,
+                                      Segments(lengths)).data
+        assert np.ptp(x @ block["wq"].data, axis=1).min() > 1e-3
+        assert np.abs(out - values).max() < 1e-12
 
 
 def test_permutation_equivariance_without_positions():
-    params = make_params()
+    model = tiny_model()
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((6, 5))
+    x = features_of(rng, 6)
     perm = rng.permutation(6)
-    base = encode(x, params, Segments([6])).data
-    permuted = encode(x[perm], params, Segments([6])).data
-    assert np.abs(permuted - base[perm]).max() < 1e-10
+    stack = model.encoder_stack(MODALITIES)
+    base = encode(x, stack, Segments([6]))
+    permuted = encode({m: v[perm] for m, v in x.items()}, stack,
+                      Segments([6]))
+    for m in MODALITIES:
+        assert np.abs(permuted[m].data - base[m].data[perm]).max() < 1e-10
+
+
+@pytest.mark.parametrize("active", SUBSETS, ids=",".join)
+def test_encoding_does_not_depend_on_the_other_active_modalities(active):
+    # each modality's rows of a subset's stack are its own: its encoding,
+    # and the gradient of a loss on it, are bit for bit those of the
+    # modality encoded alone, for a lone conversation and in a pack (a
+    # subset taking the wrong rows of the layer matrix, (t, v) as 0:2 say,
+    # would encode v with a's weights)
+    model = tiny_model(seed=5)
+    rng = np.random.default_rng(6)
+    for lengths in ((5,), (3, 1, 4)):
+        x = features_of(rng, sum(lengths))
+        r = {m: rng.standard_normal((sum(lengths), 8)) for m in active}
+        model.zero_grad()
+        z = encode(x, model.encoder_stack(active), Segments(lengths))
+        project(*((z[m], r[m]) for m in active)).backward()
+        together = model.grad.copy()
+        for m in active:
+            model.zero_grad()
+            alone = encode(x, model.encoder_stack((m,)), Segments(lengths))
+            project((alone[m], r[m])).backward()
+            assert np.array_equal(z[m].data, alone[m].data), (m, lengths)
+            for span in model.encoder_spans[m]:
+                assert np.array_equal(together[span], model.grad[span]), m
 
 
 def test_layer_norm_standardizes_rows():
@@ -216,15 +266,83 @@ def test_layers_past_numpy_limit_are_refused_before_a_block_is_made():
 
 
 def test_encoder_gradients_match_finite_differences():
-    new = Parameters(np.random.default_rng(8))
-    params = EncoderParams(3, tiny_config(), new, "enc")
+    model = Model(tiny_config(), num_classes=3, dims={"t": 3, "a": 4, "v": 2},
+                  seed=8)
+    stack = model.encoder_stack(("t",))
     rng = np.random.default_rng(11)
     x = rng.standard_normal((3, 3))
     r = rng.standard_normal((3, 8))
-    leaves = list(new.blocks.values())
+    # one modality's layer leaves are (1, *shape) views of one contiguous
+    # row of theta, which the differences perturb in place
+    leaves = [*stack.in_proj[0]] + [p for block in stack.blocks
+                                    for p in block.values()]
 
     assert_grad_matches(
-        lambda: project((encode(x, params, Segments([3])), r)), leaves)
+        lambda: project((encode({"t": x}, stack, Segments([3]))["t"], r)),
+        leaves)
+
+
+def theta_differences(model, loss_value, entries, h=1e-5):
+    """Central differences of ``loss_value()`` at ``entries`` of theta."""
+    out = np.empty(len(entries))
+    for j, i in enumerate(entries):
+        original = model.theta[i]
+        model.theta[i] = original + h
+        plus = loss_value()
+        model.theta[i] = original - h
+        minus = loss_value()
+        model.theta[i] = original
+        out[j] = (plus - minus) / (2.0 * h)
+    return out
+
+
+@pytest.mark.parametrize("active", [("t", "a", "v"), ("t", "v"), ("a",)],
+                         ids=",".join)
+@pytest.mark.parametrize("rows", [False, True], ids=["summed", "rows"])
+def test_stacked_encoder_gradients_match_finite_differences(active, rows):
+    # a loss on every active modality's encoding of a three-conversation
+    # pack; its gradient, summed into model.grad or written per
+    # conversation into gradient rows, against central differences on
+    # every 5th entry of the encoder's part of theta
+    model = tiny_model(seed=9)
+    lengths = (2, 4, 3)
+    rng = np.random.default_rng(10)
+    x = features_of(rng, sum(lengths))
+    r = {m: rng.standard_normal((sum(lengths), 8)) for m in active}
+    stack = model.encoder_stack(active)
+
+    def loss(segments, rows=slice(None)):
+        z = encode({m: v[rows] for m, v in x.items()}, stack, segments)
+        return project(*((z[m], r[m][rows]) for m in active))
+
+    def value(segments, rows=slice(None)):
+        with no_grad():
+            return loss(segments, rows).item()
+
+    def check(autograd, numeric):
+        err = np.abs(autograd - numeric) / np.maximum(1.0, np.abs(numeric))
+        assert err.max() < 1e-6, err.max()
+
+    entries = np.arange(0, model.encoder_size, 5)
+    grad_rows = np.full((len(lengths), model.encoder_size), np.nan)
+    segments = Segments(lengths, (model.encoder_grad_rows(grad_rows, active)
+                                  if rows else None))
+    model.zero_grad()
+    loss(segments).backward()
+    if not rows:
+        check(model.grad[entries], theta_differences(
+            model, lambda: value(Segments(lengths)), entries))
+        return
+    written = np.zeros(model.encoder_size, dtype=bool)
+    for m in active:
+        for span in model.encoder_spans[m]:
+            written[span] = True
+    assert not np.isnan(grad_rows[:, written]).any()
+    assert np.isnan(grad_rows[:, ~written]).all()  # the caller zeroes them
+    for j, rows in enumerate(segments.slices):
+        alone = Segments([rows.stop - rows.start])
+        check(np.nan_to_num(grad_rows[j, entries]), theta_differences(
+            model, lambda: value(alone, rows), entries))
 
 
 def attention_oracle(x, block, heads):
@@ -246,21 +364,22 @@ def attention_oracle(x, block, heads):
 
 @pytest.mark.parametrize("n", [1, 6])
 def test_self_attention_matches_loop_oracle(n):
-    params = make_params(seed=12)
-    block = params.blocks[0]
-    block["bo"].data[:] = np.random.default_rng(13).standard_normal(8)
-    x = np.random.default_rng(14).standard_normal((n, 8))
-    out = encoder._self_attention(Tensor(x), block, 2, Segments([n]))
-    assert np.abs(out.data - attention_oracle(x, block, 2)).max() < 1e-12
+    # matrix i of the stack is attended with the weights at index i
+    rng = np.random.default_rng(12)
+    block = stacked_block(rng)
+    x = rng.standard_normal((3, n, 8))
+    out = encoder._self_attention(Tensor(x), block, 2, Segments([n])).data
+    for i in range(3):
+        own = {k: Tensor(p.data[i]) for k, p in block.items()}
+        assert np.abs(out[i] - attention_oracle(x[i], own, 2)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 5])
 def test_self_attention_gradients_match_finite_differences(n):
-    params = make_params(seed=15)
-    block = params.blocks[0]
     rng = np.random.default_rng(16 + n)
-    x = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
-    r = rng.standard_normal((n, 8))
+    block = stacked_block(rng)
+    x = Tensor(rng.standard_normal((3, n, 8)), requires_grad=True)
+    r = rng.standard_normal((3, n, 8))
     leaves = [x] + [block[k] for k in ("wq", "wk", "wv", "wo", "bo")]
     segments = Segments([n])
     assert_grad_matches(
@@ -318,16 +437,13 @@ def reference_self_attention(x, block, heads, segments):
 ATTENTION_PARAMS = ("wq", "wk", "wv", "wo", "bo")
 
 
-def run_attention(attention, lengths, rows):
-    """Output and gradients of one attention node on a fresh pack; with
-    ``rows`` the parameters' gradients are per-conversation rows."""
-    # head_dim 6: a score scale that is not a power of two rounds
-    params = make_params(seed=21, hidden=24, heads=4)
-    block = params.blocks[0]
-    block["bo"].data[:] = np.random.default_rng(22).standard_normal(24)
-    rng = np.random.default_rng(23)
-    x = Tensor(rng.standard_normal((sum(lengths), 24)), requires_grad=True)
-    r = rng.standard_normal((sum(lengths), 24))
+def run_attention(attention, block, x, r, lengths, rows):
+    """Output and gradients of one attention node on ``x`` (a fresh leaf
+    for each call) under the projection ``r``; with ``rows`` the
+    parameters' gradients are per-conversation rows."""
+    x = Tensor(x, requires_grad=True)
+    for k in ATTENTION_PARAMS:
+        block[k].grad = None
     grads = ({block[k]: np.full((len(lengths),) + block[k].shape, np.nan)
               for k in ATTENTION_PARAMS} if rows else None)
     out = attention(x, block, 4, Segments(lengths, grads))
@@ -341,10 +457,22 @@ def run_attention(attention, lengths, rows):
                          ids=["several", "lone"])
 @pytest.mark.parametrize("rows", [False, True], ids=["summed", "rows"])
 def test_self_attention_matches_its_reference_bit_for_bit(lengths, rows):
-    out, found = run_attention(encoder._self_attention, lengths, rows)
-    ref_out, expected = run_attention(reference_self_attention, lengths, rows)
-    assert np.array_equal(out, ref_out)
-    for name, actual, wanted in zip(("x",) + ATTENTION_PARAMS, found,
-                                    expected):
-        assert np.array_equal(actual, wanted), name
+    # the stacked node over three modalities against the 2-D reference run
+    # on each modality's matrix and weights; head_dim 6: a score scale
+    # that is not a power of two rounds
+    rng = np.random.default_rng(21)
+    block = stacked_block(rng, hidden=24, heads=4)
+    x, r = rng.standard_normal((2, 3, sum(lengths), 24))
+    out, found = run_attention(encoder._self_attention, block, x, r, lengths,
+                               rows)
+    for i in range(3):
+        own = {k: Tensor(block[k].data[i].copy(), requires_grad=True)
+               for k in ATTENTION_PARAMS}
+        ref_out, expected = run_attention(reference_self_attention, own,
+                                          x[i], r[i], lengths, rows)
+        assert np.array_equal(out[i], ref_out)
+        for name, actual, wanted in zip(("x",) + ATTENTION_PARAMS, found,
+                                        expected):
+            mine = actual[:, i] if rows and name != "x" else actual[i]
+            assert np.array_equal(mine, wanted), (name, i)
     assert not np.isnan(found[1]).any()  # every row was written

@@ -11,12 +11,12 @@ import pytest
 
 from modbalance import training
 from modbalance.dataset import Conversation
-from modbalance.encoder import EncoderParams, _self_attention
+from modbalance.encoder import _self_attention, layer_blocks
 from modbalance.feature_weighting import feature_attention, pool_attention
 from modbalance.losses import cls_loss, feature_loss, main_loss, modal_loss
 from modbalance.model import Model, ModelConfig
-from modbalance.tensor import (Parameters, Segments, Tensor, feed_forward,
-                               layer_norm_rows)
+from modbalance.tensor import (Segments, Tensor, feed_forward,
+                               layer_norm_rows, linear)
 from modbalance.training import backward_batch, packs
 
 from conftest import assert_grad_matches, numeric_grad, project
@@ -113,7 +113,8 @@ def test_packed_backward_matches_per_conversation_graphs(
     assert set(logits) == set(active)
     for m in model.dims:  # an inactive encoder gets no gradient
         if m not in active:
-            assert not model.grad[model.encoder_spans[m]].any()
+            for span in model.encoder_spans[m]:
+                assert not model.grad[span].any()
 
 
 def test_one_conversation_pack_gives_its_graph_bit_for_bit():
@@ -180,30 +181,42 @@ def test_pad_of_one_conversation_is_a_view_and_of_several_zero_filled():
         n = rows.stop - rows.start
         assert np.array_equal(stack[j, :n], x[rows])
         assert not stack[j, n:].any()
+    # a leading modality axis is carried through: rows stay on axis -2
+    x = rng.standard_normal((3, sum(LENGTHS), 2))
+    stack = segments.pad(x)
+    assert stack.shape == (len(LENGTHS), 3, max(LENGTHS), 2)
+    for j, rows in enumerate(segments.slices):
+        n = rows.stop - rows.start
+        assert np.array_equal(stack[j, :, :n], x[:, rows])
+        assert not stack[j, :, n:].any()
 
 
-def attention_block(rng, hidden=8):
-    return EncoderParams(4, ModelConfig(hidden=hidden, layers=1, heads=2,
-                                        ffn=8), Parameters(rng),
-                         "enc").blocks[0]
+def attention_block(rng, hidden=8, m=3):
+    """Standalone (m, *shape) attention leaves, one matrix per modality."""
+    config = ModelConfig(hidden=hidden, layers=1, heads=2, ffn=8)
+    return {key: Tensor(rng.uniform(-0.5, 0.5, (m,) + shape),
+                        requires_grad=True)
+            for key, shape, _ in layer_blocks(config)
+            if key in ("wq", "wk", "wv", "wo", "bo")}
 
 
 def test_packed_attention_attends_within_each_conversation():
     rng = np.random.default_rng(0)
     block = attention_block(rng)
-    x, segments = pack_rows(rng, (8,))
+    x = rng.standard_normal((3, sum(LENGTHS), 8))
+    segments = Segments(LENGTHS)
     packed = _self_attention(Tensor(x), block, 2, segments).data
     for rows in segments.slices:
-        alone = _self_attention(Tensor(x[rows]), block, 2,
+        alone = _self_attention(Tensor(x[:, rows]), block, 2,
                                 one_conversation(rows)).data
-        assert np.abs(packed[rows] - alone).max() < 1e-13
+        assert np.abs(packed[:, rows] - alone).max() < 1e-13
 
 
 def test_packed_attention_gradients():
     rng = np.random.default_rng(1)
     block = attention_block(rng)
-    x, segments = pack_rows(rng, (8,))
-    x = Tensor(x, requires_grad=True)
+    x = Tensor(rng.standard_normal((3, sum(LENGTHS), 8)), requires_grad=True)
+    segments = Segments(LENGTHS)
     r = rng.standard_normal(x.shape)
     assert_grad_matches(
         lambda: project((_self_attention(x, block, 2, segments), r)),
@@ -230,41 +243,83 @@ def assert_rows_are_each_conversations_gradient(loss_of, params, inputs,
             assert err.max() < tol, f"conversation {j}: max rel err {err.max()}"
 
 
-def test_packed_feed_forward_gradient_rows():
-    rng = np.random.default_rng(6)
+def own_rows(lead, rows):
+    """The index of ``rows`` in an array with ``lead`` axes before them."""
+    return (slice(None),) * len(lead) + (rows,)
+
+
+def check_feed_forward_gradient_rows(lead, seed):
+    """``assert_rows_are_each_conversations_gradient`` for a feed-forward
+    node over row matrices with leading axes ``lead`` (a modality axis)."""
+    rng = np.random.default_rng(seed)
     n = sum(LENGTHS)
-    x = Tensor(rng.standard_normal((n, 5)), requires_grad=True)
-    params = [Tensor(rng.standard_normal(s), requires_grad=True)
+    x = Tensor(rng.standard_normal(lead + (n, 5)), requires_grad=True)
+    params = [Tensor(rng.standard_normal(lead + s), requires_grad=True)
               for s in ((5, 6), (6,), (6, 3), (3,))]
-    pre = x.data @ params[0].data + params[1].data
+    pre = x.data @ params[0].data + params[1].data[..., None, :]
     assert (pre < 0).any() and np.abs(pre).min() > 1e-3  # off the kink
-    r = rng.standard_normal((n, 3))
+    r = rng.standard_normal(lead + (n, 3))
 
     def loss_of(rows, segments):
-        xs = x if rows == slice(None) else Tensor(x.data[rows])
+        own = own_rows(lead, rows)
+        xs = x if rows == slice(None) else Tensor(x.data[own])
         return project((feed_forward(xs, *params, segments=segments),
-                        r[rows]))
+                        r[own]))
 
     assert_rows_are_each_conversations_gradient(loss_of, params, [x])
 
 
-def test_packed_layer_norm_residual_gradient_rows():
-    rng = np.random.default_rng(7)
+def test_packed_stacked_linear_gradient_rows():
+    rng = np.random.default_rng(10)
     n = sum(LENGTHS)
-    x, residual = (Tensor(rng.standard_normal((n, 6)), requires_grad=True)
-                   for _ in range(2))
-    gamma = Tensor(rng.standard_normal(6) + 1.5, requires_grad=True)
-    beta = Tensor(rng.standard_normal(6), requires_grad=True)
-    r = rng.standard_normal((n, 6))
+    x = Tensor(rng.standard_normal((3, n, 5)), requires_grad=True)
+    params = [Tensor(rng.standard_normal(s), requires_grad=True)
+              for s in ((3, 5, 4), (3, 4))]
+    r = rng.standard_normal((3, n, 4))
 
     def loss_of(rows, segments):
+        own = own_rows((3,), rows)
+        xs = x if rows == slice(None) else Tensor(x.data[own])
+        return project((linear(xs, *params, segments), r[own]))
+
+    assert_rows_are_each_conversations_gradient(loss_of, params, [x])
+
+
+def test_packed_feed_forward_gradient_rows():
+    check_feed_forward_gradient_rows((), 6)
+
+
+def test_packed_stacked_feed_forward_gradient_rows():
+    check_feed_forward_gradient_rows((2,), 8)
+
+
+def check_layer_norm_residual_gradient_rows(lead, seed):
+    """As ``check_feed_forward_gradient_rows``, for a residual layer norm."""
+    rng = np.random.default_rng(seed)
+    n = sum(LENGTHS)
+    x, residual = (Tensor(rng.standard_normal(lead + (n, 6)),
+                          requires_grad=True) for _ in range(2))
+    gamma = Tensor(rng.standard_normal(lead + (6,)) + 1.5, requires_grad=True)
+    beta = Tensor(rng.standard_normal(lead + (6,)), requires_grad=True)
+    r = rng.standard_normal(lead + (n, 6))
+
+    def loss_of(rows, segments):
+        own = own_rows(lead, rows)
         xs, res = ((x, residual) if rows == slice(None) else
-                   (Tensor(x.data[rows]), Tensor(residual.data[rows])))
+                   (Tensor(x.data[own]), Tensor(residual.data[own])))
         return project((layer_norm_rows(xs, gamma, beta, segments=segments,
-                                        residual=res), r[rows]))
+                                        residual=res), r[own]))
 
     assert_rows_are_each_conversations_gradient(loss_of, [gamma, beta],
                                                  [x, residual])
+
+
+def test_packed_layer_norm_residual_gradient_rows():
+    check_layer_norm_residual_gradient_rows((), 7)
+
+
+def test_packed_stacked_layer_norm_residual_gradient_rows():
+    check_layer_norm_residual_gradient_rows((3,), 9)
 
 
 def test_packed_pooling_and_contraction_per_conversation():

@@ -1,7 +1,9 @@
 """Balance optimizer: scores, ratios, modulation, updates, and the loop."""
 
 import gc
+import itertools
 import math
+import re
 import threading
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -28,11 +30,12 @@ from modbalance.training import (
 )
 
 MODS = ("t", "a", "v")
+SUBSETS = [s for k in (1, 2, 3) for s in itertools.combinations(MODS, k)]
 
 
 def tiny_model(seed=0, **overrides):
-    config = ModelConfig(hidden=8, rank=2, beta=0.5, layers=1, heads=2,
-                         ffn=12, **overrides)
+    config = ModelConfig(**{**dict(hidden=8, rank=2, beta=0.5, layers=1,
+                                   heads=2, ffn=12), **overrides})
     dims = {"t": 6, "a": 5, "v": 4}
     return Model(config, num_classes=3, dims=dims, seed=seed)
 
@@ -149,9 +152,9 @@ def test_update_halves_step_with_half_coefficient():
     apply_update(full, g, eta=0.1, k={"t": 1.0})
     apply_update(half, g, eta=0.1, k={"t": 0.5})
     step = 0.1 * g  # multiplying the step by 0.5 is exact in binary
-    span = half.encoder_spans["t"]
     expected = start - step
-    expected[span] = start[span] - step[span] * 0.5
+    for span in half.encoder_spans["t"]:
+        expected[span] = start[span] - step[span] * 0.5
     assert np.array_equal(full.theta, start - step)
     assert np.array_equal(half.theta, expected)
 
@@ -161,7 +164,8 @@ def test_update_noise_is_seed_reproducible():
     for _ in range(2):
         model = tiny_model(seed=5)
         g = np.random.default_rng(5).standard_normal(model.theta.size)
-        std = {m: np.abs(g[s]) * 0.1 for m, s in model.encoder_spans.items()}
+        std = {m: [np.abs(g[s]) * 0.1 for s in spans]
+               for m, spans in model.encoder_spans.items()}
         apply_update(model, g, eta=0.1, k={m: 0.8 for m in MODS},
                      noise_std=std, rng=np.random.default_rng(11))
         results.append(model.theta.copy())
@@ -169,15 +173,21 @@ def test_update_noise_is_seed_reproducible():
 
 
 def test_gradient_check_rejects_non_finite_gradient():
-    model = tiny_model()
+    # a NaN in each block, with one in a later block too, is named by that
+    # block: an in-projection at the front of theta, a layer block at the
+    # end of the layer matrix and blocks in between
+    model = tiny_model(layers=2)
     names = list(model.named_parameters())
-    for name in ("encoder.t.block0.w1", "classifier.w2"):
-        model.grad[model.offsets[names.index(name)] + 1] = float("nan")
     batch = tiny_data(conversations=2)
     conv_grads = np.zeros((len(batch), model.encoder_size))
     start = model.theta.copy()
-    with pytest.raises(DivergenceError, match="encoder.t.block0.w1"):
-        training._noise_std(model, batch, conv_grads, MODS, 1)
+    for name in ("encoder.t.block0.w1", "encoder.a.in_proj.w",
+                 "encoder.v.block1.ln2_b"):
+        model.zero_grad()
+        for planted in (name, "classifier.w2"):
+            model.grad[model.offsets[names.index(planted)] + 1] = float("nan")
+        with pytest.raises(DivergenceError, match=re.escape(name)):
+            training._noise_std(model, batch, conv_grads, MODS, 1)
     assert np.array_equal(model.theta, start)
 
 
@@ -192,20 +202,23 @@ def test_noise_std_equals_ndarray_std_of_the_rows_bit_for_bit(monkeypatch):
     training.backward_batch(model, batch, conv_grads, active, 1)
     assert len(list(training.packs(batch))) >= 2
     rows, grad = conv_grads.copy(), model.grad.copy()
-    assert not rows[:, model.encoder_spans["v"]].any()
+    for span in model.encoder_spans["v"]:
+        assert not rows[:, span].any()
     scale = training._noise_std(model, batch, conv_grads, active, 1)
     assert list(scale) == list(active)
     for m in active:
-        expected = (rows[:, model.encoder_spans[m]].std(axis=0, ddof=1)
-                    / np.sqrt(len(batch)))
-        assert np.array_equal(scale[m], expected)
+        assert len(scale[m]) == 2  # the in-projection and the layer row
+        for std, span in zip(scale[m], model.encoder_spans[m]):
+            expected = (rows[:, span].std(axis=0, ddof=1)
+                        / np.sqrt(len(batch)))
+            assert np.array_equal(std, expected)
     assert np.array_equal(model.grad, grad)
 
 
 def test_one_noise_draw_equals_block_by_block_draws():
     model = tiny_model()
-    span = model.encoder_spans["t"]
-    whole = np.random.default_rng(11).standard_normal(span.stop - span.start)
+    size = sum(span.stop - span.start for span in model.encoder_spans["t"])
+    whole = np.random.default_rng(11).standard_normal(size)
     rng = np.random.default_rng(11)
     params = model.named_parameters()
     blocks = [rng.standard_normal(params[n].shape).ravel()
@@ -218,9 +231,19 @@ def assert_blocks_are_views(model):
     for name, p in params.items():
         assert np.shares_memory(p.data, model.theta), name
         assert np.shares_memory(p.grad, model.grad), name
-    for m, span in model.encoder_spans.items():
+    for m, spans in model.encoder_spans.items():
         blocks = [params[n].data.ravel() for n in encoder_block_names(model, m)]
-        assert np.array_equal(model.theta[span], np.concatenate(blocks)), m
+        spanned = np.concatenate([model.theta[span] for span in spans])
+        assert np.array_equal(spanned, np.concatenate(blocks)), m
+    for active in SUBSETS:
+        stack = model.encoder_stack(active)
+        for i, m in enumerate(active):
+            for j, block in enumerate(stack.blocks):
+                for key, leaf in block.items():
+                    own = params[f"encoder.{m}.block{j}.{key}"]
+                    assert np.shares_memory(leaf.data[i], own.data), key
+                    assert np.array_equal(leaf.data[i], own.data), key
+                    assert np.shares_memory(leaf.grad[i], own.grad), key
 
 
 def test_parameter_blocks_stay_views_of_the_flat_vectors(tmp_path):
@@ -370,7 +393,8 @@ def reference_sgd(data, config, seed):
                 for n, p in params.items():
                     grad_sum[n] += p.grad if p.grad is not None else 0.0
             for n, p in params.items():
-                p.data = p.data - config.learning_rate * (grad_sum[n] / len(batch))
+                p.data[...] = (p.data
+                               - config.learning_rate * (grad_sum[n] / len(batch)))
     return params
 
 
@@ -420,7 +444,9 @@ def reference_noisy_step(data, config, coefficients, seed):
         per_conv.append({n: p.grad.copy() for n, p in params.items()})
     rng = np.random.default_rng(config.seed + 7919)
     modulated = {n: m for m in MODS for n in encoder_block_names(reference, m)}
-    for name, p in params.items():  # encoder blocks come first, t, a, v
+    made = list(modulated) + [n for n in params if n not in modulated]
+    for name in made:  # blocks in the order of the noise draws: t, a, v
+        p = params[name]
         total = np.zeros_like(p.data)
         for grads in per_conv:
             total += grads[name]
@@ -598,11 +624,12 @@ def test_backward_releases_the_graph():
         if node._backward_fn is not None and id(node) not in nodes:
             nodes[id(node)] = node
             stack.extend(node._parents)
-    # per modality 5 encoder nodes (input projection; attention, two
-    # residual norms and the feed-forward of its one layer) and 7 AFW
-    # nodes; then fusion 1, the classifier 1 and the losses 4 (three terms
-    # and their total)
-    assert len(nodes) == 42
+    # the encoder: 3 input projections, the node that stacks them, the
+    # attention, two residual norms and the feed-forward of its one layer
+    # run over all three modalities, and 3 nodes that hand each modality
+    # its rows; per modality 7 AFW nodes; then fusion 1, the classifier 1
+    # and the losses 4 (three terms and their total)
+    assert len(nodes) == 38
     model.zero_grad()
     loss.backward()
     for node in nodes.values():
